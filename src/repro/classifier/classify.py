@@ -55,23 +55,27 @@ class Classifier:
     # -- duplicate detection ------------------------------------------------
 
     def _find_duplicate(self, name: str) -> Optional[str]:
-        """An existing class equivalent to the (already registered) ``name``."""
+        """An existing class equivalent to the (already registered) ``name``:
+        the first one in registration order.
+
+        Only the schema's signature-bucket candidates are examined; every
+        other class differs from ``name`` in both signatures.
+        """
         target = self.schema[name]
         assert isinstance(target, VirtualClass)
         target_der_sig = target.derivation.signature()
         target_type_sig = type_signature(self.schema.type_of(name))
-        for other in self.schema.classes():
-            if other.name == name:
-                continue
+        for other_name in self.schema.duplicate_candidates(name):
+            other = self.schema[other_name]
             if (
                 isinstance(other, VirtualClass)
                 and other.derivation.signature() == target_der_sig
             ):
-                return other.name
+                return other_name
             if type_signature(
-                self.schema.type_of(other.name)
-            ) == target_type_sig and self.relations.equal(name, other.name):
-                return other.name
+                self.schema.type_of(other_name)
+            ) == target_type_sig and self.relations.equal(name, other_name):
+                return other_name
         return None
 
     # -- positioning -----------------------------------------------------------
@@ -82,7 +86,8 @@ class Classifier:
         for other in self.schema.classes():
             if other.name == name:
                 continue
-            other_names = property_names(self.schema.type_of(other.name))
+            # a type's key view compares as a set without being copied
+            other_names = self.schema.type_of(other.name).keys()
             if other_names <= my_names and self.relations.subset(name, other.name):
                 candidates.append(other.name)
         return candidates
@@ -93,7 +98,7 @@ class Classifier:
         for other in self.schema.classes():
             if other.name == name:
                 continue
-            other_names = property_names(self.schema.type_of(other.name))
+            other_names = self.schema.type_of(other.name).keys()
             if my_names <= other_names and self.relations.subset(other.name, name):
                 candidates.append(other.name)
         return candidates
@@ -165,6 +170,12 @@ class Classifier:
         subs = self._maximal(self._candidate_subs(name), self.schema)
         if not supers:
             supers = [ROOT_CLASS]
+        # when every super already reaches every sub, wiring ``name`` in
+        # adds no reachability between the other classes
+        local = all(
+            self.schema.is_ancestor(sup, sub) for sup in supers for sub in subs
+        )
+        shape = self.schema.shape_generation
 
         for sup in supers:
             self.schema.add_edge(sup, name)
@@ -185,6 +196,8 @@ class Classifier:
                     self.schema.remove_edge(sup, sub)
                     removed.append((sup, sub))
 
+        if local:
+            self.relations.carry_over(shape, name)
         return ClassificationResult(
             cls=vc,
             created=True,

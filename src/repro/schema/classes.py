@@ -100,9 +100,15 @@ class Derivation:
         return self.sources[0]
 
     def signature(self) -> tuple:
-        """Structural fingerprint for duplicate-derivation detection."""
+        """Structural fingerprint for duplicate-derivation detection.
+
+        Computed once: a derivation is frozen, so its fingerprint is too.
+        """
+        cached = self.__dict__.get("_signature")
+        if cached is not None:
+            return cached
         pred_sig = self.predicate.signature() if self.predicate is not None else None
-        return (
+        signature = (
             self.op,
             self.sources,
             pred_sig,
@@ -110,6 +116,8 @@ class Derivation:
             tuple(sorted(p.signature() for p in self.new_properties)),
             tuple(sorted((s.from_class, s.name) for s in self.shared_properties)),
         )
+        object.__setattr__(self, "_signature", signature)
+        return signature
 
     def describe(self) -> str:
         """Render the derivation in the paper's algebra syntax."""

@@ -766,17 +766,51 @@ class ExtentRelations:
     "unknown", never "disjoint".  The prover is sound but deliberately
     incomplete (so is any schema-level classifier); the hypothesis tests
     check soundness against the instance-level evaluator.
+
+    A proof of ``subset(a, b)`` reads only the derivations of ``a``, ``b``
+    and their (transitive) sources, all frozen once registered, and is-a
+    reachability among those classes.  So the memo is keyed on
+    :attr:`GlobalSchema.shape_generation`: it survives the registration of
+    new classes and is dropped when edges change or a class is removed,
+    renamed or restored — except across an insertion that
+    :meth:`carry_over` is told left reachability between the other classes
+    unchanged.
     """
 
     def __init__(self, schema: GlobalSchema) -> None:
         self.schema = schema
-        self._memo: Dict[Tuple[str, str], bool] = {}
+        #: sub -> sup -> proven; rows keep the memo free of per-pair keys
+        self._memo: Dict[str, Dict[str, bool]] = {}
         self._memo_generation = -1
+        #: rows written since the last carry-over or reset; every proof
+        #: naming a class registered meanwhile is in one of them
+        self._written: List[str] = []
 
     def _fresh_memo(self) -> None:
-        if self._memo_generation != self.schema.generation:
+        if self._memo_generation != self.schema.shape_generation:
             self._memo = {}
-            self._memo_generation = self.schema.generation
+            self._written = []
+            self._memo_generation = self.schema.shape_generation
+
+    def carry_over(self, shape: int, name: str) -> None:
+        """Keep the memo across the wiring of the newly registered ``name``.
+
+        ``shape`` is the shape generation before the wiring, which must not
+        have added is-a reachability between classes other than ``name``
+        (every new super of ``name`` already reached every new sub).  No
+        proof about two other classes can then change: it never reads
+        ``name``, which derives nothing.  Proofs about ``name`` itself were
+        made while it had no edges, so they are dropped.
+        """
+        written, self._written = self._written, []
+        if self._memo_generation != shape:
+            return  # the memo was already stale before the wiring
+        self._memo.pop(name, None)
+        for sub in written:
+            row = self._memo.get(sub)
+            if row is not None:
+                row.pop(name, None)
+        self._memo_generation = self.schema.shape_generation
 
     def subset(self, sub: str, sup: str) -> bool:
         """Provably ``extent(sub) ⊆ extent(sup)``?"""
@@ -790,15 +824,20 @@ class ExtentRelations:
     def _subset(self, sub: str, sup: str, active: FrozenSet[Tuple[str, str]]) -> bool:
         if sub == sup:
             return True
+        row = self._memo.get(sub)
+        if row is None:
+            row = self._memo[sub] = {}
+        else:
+            cached = row.get(sup)
+            if cached is not None:
+                return cached
         key = (sub, sup)
-        cached = self._memo.get(key)
-        if cached is not None:
-            return cached
         if key in active:
             return False  # pessimistic on cycles; keeps the prover sound
         active = active | {key}
         result = self._subset_uncached(sub, sup, active)
-        self._memo[key] = result
+        row[sup] = result
+        self._written.append(sub)
         return result
 
     def _subset_uncached(

@@ -12,6 +12,18 @@ class's type is a pure function of its derivation (section 3.2 rules).
 Classification may rewire DAG edges around a class but never changes any
 class's type — that stability is what makes existing views immune to view
 evolution (the Proposition B arguments of section 6).
+
+The same stability decides cache lifetimes.  Two counters describe what a
+mutation may have changed: :attr:`GlobalSchema.generation` moves on every
+mutation (extent evaluators, read plans and epochs key on it), while
+:attr:`GlobalSchema.shape_generation` moves only when is-a reachability or
+the set of existing names may have changed (edges added or removed, a class
+removed or renamed, a restore).  Registering a class moves only the first, so
+the reachability closures and the extent prover's memo survive it.  Types do
+not depend on edges at all: the type cache and the duplicate-detection
+signature index are dropped only when a class definition changes
+(``define_local_property``, ``rename_class``) and, per class, when a class
+leaves (``remove_class``, ``restore``).
 """
 
 from __future__ import annotations
@@ -39,6 +51,89 @@ from repro.schema import types as typemod
 from repro.schema.types import TypeMap
 
 
+#: bucket of virtual classes whose derivation signature cannot be hashed
+_UNHASHABLE = object()
+#: type-signature bucket of classes whose type computation raises
+_UNTYPED = object()
+
+
+def _definition_refs(cls: SchemaClass) -> Tuple[str, ...]:
+    """Names a class's type is computed from (parents or derivation sources)."""
+    if isinstance(cls, BaseClass):
+        return cls.inherits_from
+    der = cls.derivation
+    return der.sources + tuple(s.from_class for s in der.shared_properties)
+
+
+def _derivation_key(cls: SchemaClass) -> object:
+    """Bucket key of a class in the derivation-signature index (``None`` for
+    base classes, which are never derivation duplicates)."""
+    if not isinstance(cls, VirtualClass):
+        return None
+    key = cls.derivation.signature()
+    try:
+        hash(key)
+    except TypeError:
+        return _UNHASHABLE
+    return key
+
+
+class _SignatureIndex:
+    """Duplicate-detection buckets over the registered classes.
+
+    ``order`` numbers classes in registration order (the order
+    :meth:`GlobalSchema.classes` yields them).  ``by_derivation`` buckets
+    virtual classes by derivation signature and ``by_type`` buckets every
+    class by the *hash* of its type signature, so the index holds two ints
+    per class and only a bucket's members are ever compared in full.
+    Registering a class only queues it in ``pending``: its type is computed
+    and hashed on the next lookup, never while the class is being added.
+    """
+
+    __slots__ = ("order", "next_order", "pending", "type_keys", "by_derivation", "by_type")
+
+    def __init__(self, classes: Iterable[SchemaClass]) -> None:
+        self.order: Dict[str, int] = {}
+        self.next_order = 0
+        self.pending: List[str] = []
+        self.type_keys: Dict[str, object] = {}
+        self.by_derivation: Dict[object, List[str]] = {}
+        self.by_type: Dict[object, List[str]] = {}
+        for cls in classes:
+            self.add(cls)
+
+    def add(self, cls: SchemaClass) -> None:
+        name = cls.name
+        self.order[name] = self.next_order
+        self.next_order += 1
+        der_key = _derivation_key(cls)
+        if der_key is not None:
+            self.by_derivation.setdefault(der_key, []).append(name)
+        self.pending.append(name)
+        # a new class may be the missing definition an untyped class needs
+        for untyped in self.by_type.pop(_UNTYPED, ()):
+            del self.type_keys[untyped]
+            self.pending.append(untyped)
+
+    def discard(self, cls: SchemaClass) -> None:
+        name = cls.name
+        del self.order[name]
+        der_key = _derivation_key(cls)
+        if der_key is not None:
+            self._unbucket(self.by_derivation, der_key, name)
+        if name in self.type_keys:
+            self._unbucket(self.by_type, self.type_keys.pop(name), name)
+        else:
+            self.pending.remove(name)
+
+    @staticmethod
+    def _unbucket(buckets: Dict[object, List[str]], key: object, name: str) -> None:
+        bucket = buckets[key]
+        bucket.remove(name)
+        if not bucket:
+            del buckets[key]
+
+
 class GlobalSchema:
     """Registry of classes plus the is-a DAG, with cached type computation."""
 
@@ -47,8 +142,11 @@ class GlobalSchema:
         self._supers: Dict[str, Set[str]] = {}
         self._subs: Dict[str, Set[str]] = {}
         self._generation = 0
+        self._shape_generation = 0
+        #: class name -> type; valid until a class definition changes
         self._type_cache: Dict[str, TypeMap] = {}
-        self._type_cache_generation = -1
+        #: duplicate-detection buckets, rebuilt lazily after ``_forget_types``
+        self._index: Optional[_SignatureIndex] = None
         #: memoized reachability closures keyed by (kind, class); kinds are
         #: "anc" (strict ancestors), "desc" (strict descendants) and "anc+"
         #: (ancestors-or-self, the inverted member-class index extent
@@ -88,7 +186,35 @@ class GlobalSchema:
         """Monotone counter bumped on every structural mutation."""
         return self._generation
 
+    @property
+    def shape_generation(self) -> int:
+        """Monotone counter bumped when is-a reachability or the set of
+        existing class names may have changed: edge changes, removals,
+        renames and restores — not registrations, which add an isolated
+        class that no existing closure or extent proof can mention."""
+        return self._shape_generation
+
     def _dirty(self) -> None:
+        """Any structural change, including direct edits of the registry:
+        bump both counters and forget every derived cache."""
+        self._reshaped()
+        self._forget_types()
+
+    def _reshaped(self) -> None:
+        self._generation += 1
+        self._shape_generation += 1
+
+    def _forget_types(self) -> None:
+        self._type_cache = {}
+        self._index = None
+
+    def _register(self, cls: SchemaClass) -> None:
+        name = cls.name
+        self._classes[name] = cls
+        self._supers[name] = set()
+        self._subs[name] = set()
+        if self._index is not None:
+            self._index.add(cls)
         self._generation += 1
 
     # -- class creation -------------------------------------------------------
@@ -106,14 +232,11 @@ class GlobalSchema:
             if parent not in self._classes:
                 raise UnknownClass(f"unknown superclass {parent!r} for {name!r}")
         cls = BaseClass(name, properties=properties, inherits_from=inherits_from)
-        self._classes[name] = cls
-        self._supers[name] = set()
-        self._subs[name] = set()
+        self._register(cls)
         for parent in inherits_from:
             self.add_edge(parent, name)
         if not inherits_from:
             self.add_edge(ROOT_CLASS, name)
-        self._dirty()
         return cls
 
     def define_local_property(self, class_name: str, prop: Property) -> None:
@@ -128,7 +251,8 @@ class GlobalSchema:
                 f"cannot define local properties on virtual class {class_name!r}"
             )
         cls.define_property(prop)
-        self._dirty()
+        self._generation += 1
+        self._forget_types()
 
     def add_virtual_class_raw(self, name: str, derivation: Derivation) -> VirtualClass:
         """Register a virtual class *without* positioning it in the DAG.
@@ -142,17 +266,14 @@ class GlobalSchema:
             if source not in self._classes:
                 raise UnknownClass(f"unknown source class {source!r} for {name!r}")
         vc = VirtualClass(name, derivation)
-        self._classes[name] = vc
-        self._supers[name] = set()
-        self._subs[name] = set()
-        self._dirty()
+        self._register(vc)
         return vc
 
     def remove_class(self, name: str) -> None:
         """Remove a class and all its edges (used to discard duplicates)."""
         if name == ROOT_CLASS:
             raise SchemaError("cannot remove ROOT")
-        self[name]  # raises UnknownClass when absent
+        cls = self[name]  # raises UnknownClass when absent
         for sup in list(self._supers[name]):
             self.remove_edge(sup, name)
         for sub in list(self._subs[name]):
@@ -160,7 +281,14 @@ class GlobalSchema:
         del self._classes[name]
         del self._supers[name]
         del self._subs[name]
-        self._dirty()
+        if any(name in _definition_refs(other) for other in self._classes.values()):
+            # a class still defined in terms of ``name`` has lost its type
+            self._forget_types()
+        else:
+            self._type_cache.pop(name, None)
+            if self._index is not None:
+                self._index.discard(cls)
+        self._reshaped()
 
     def rename_class(self, old: str, new: str) -> None:
         """Rename a class globally (used by version merging, section 7)."""
@@ -213,14 +341,14 @@ class GlobalSchema:
             )
         self._subs[sup].add(sub)
         self._supers[sub].add(sup)
-        self._dirty()
+        self._reshaped()
 
     def remove_edge(self, sup: str, sub: str) -> None:
         if sub not in self._subs.get(sup, ()):  # pragma: no cover - guard
             raise SchemaError(f"no direct edge {sup!r} -> {sub!r}")
         self._subs[sup].discard(sub)
         self._supers[sub].discard(sup)
-        self._dirty()
+        self._reshaped()
 
     def has_edge(self, sup: str, sub: str) -> bool:
         return sub in self._subs.get(sup, ())
@@ -236,14 +364,14 @@ class GlobalSchema:
     # -- reachability --------------------------------------------------------------
 
     def _closure(self, kind: str, name: str, links: Dict[str, Set[str]]) -> FrozenSet[str]:
-        """Transitive closure over ``links``, memoized per generation.
+        """Transitive closure over ``links``, memoized per shape generation.
 
         Cached sub-closures are spliced in instead of re-walked, so a family
         of queries over one DAG costs one traversal total, not one per class.
         """
-        if self._closure_generation != self._generation:
+        if self._closure_generation != self._shape_generation:
             self._closure_cache.clear()
-            self._closure_generation = self._generation
+            self._closure_generation = self._shape_generation
         key = (kind, name)
         cached = self._closure_cache.get(key)
         if cached is not None:
@@ -278,9 +406,9 @@ class GlobalSchema:
         this set, so base-extent evaluation and incremental membership
         deltas are containment checks instead of per-pair is-a BFS walks.
         """
-        if self._closure_generation != self._generation:
+        if self._closure_generation != self._shape_generation:
             self._closure_cache.clear()
-            self._closure_generation = self._generation
+            self._closure_generation = self._shape_generation
         key = ("anc+", name)
         cached = self._closure_cache.get(key)
         if cached is not None:
@@ -350,16 +478,55 @@ class GlobalSchema:
     # -- types ------------------------------------------------------------------
 
     def type_of(self, name: str) -> TypeMap:
-        """The type (property library) of a class, cached per generation."""
-        if self._type_cache_generation != self._generation:
-            self._type_cache = {}
-            self._type_cache_generation = self._generation
+        """The type (property library) of a class.
+
+        Cached until a class definition changes: a type depends only on
+        class definitions (authored parents, derivations, local
+        properties), never on is-a edges, so registering classes and
+        classifying them keep every cached type valid.
+        """
         cached = self._type_cache.get(name)
         if cached is not None:
             return cached
         computed = self._compute_type(name, frozenset())
         self._type_cache[name] = computed
         return computed
+
+    def duplicate_candidates(self, name: str) -> List[str]:
+        """The classes other than ``name`` that may duplicate it, in
+        registration order.
+
+        A superset of every class whose derivation signature or type
+        signature equals ``name``'s, read from buckets instead of a scan:
+        callers still compare signatures in full.  Classes whose type
+        cannot be computed are always included, so a caller walking the
+        list meets them exactly where a scan of :meth:`classes` would.
+        """
+        cls = self[name]
+        index = self._signature_index()
+        found: Set[str] = set(index.by_type.get(index.type_keys[name], ()))
+        found.update(index.by_type.get(_UNTYPED, ()))
+        der_key = _derivation_key(cls)
+        if der_key is not None:
+            found.update(index.by_derivation.get(der_key, ()))
+        found.update(index.by_derivation.get(_UNHASHABLE, ()))
+        found.discard(name)
+        return sorted(found, key=index.order.__getitem__)
+
+    def _signature_index(self) -> _SignatureIndex:
+        """The duplicate-detection index with every pending class hashed."""
+        index = self._index
+        if index is None:
+            index = self._index = _SignatureIndex(self._classes.values())
+        while index.pending:
+            name = index.pending.pop()
+            try:
+                type_key: object = hash(typemod.type_signature(self.type_of(name)))
+            except SchemaError:
+                type_key = _UNTYPED
+            index.type_keys[name] = type_key
+            index.by_type.setdefault(type_key, []).append(name)
+        return index
 
     def _compute_type(self, name: str, active: FrozenSet[str]) -> TypeMap:
         if name in active:
@@ -494,12 +661,35 @@ class GlobalSchema:
         )
 
     def restore(self, memento: tuple) -> None:
-        """Roll the schema structure back to a prior :meth:`memento`."""
+        """Roll the schema structure back to a prior :meth:`memento`.
+
+        The memento holds the very class objects still registered, so only
+        the cached types of classes it lacks are dropped: an EXPLAIN bracket,
+        a failed change's rollback or a savepoint abort leaves the next
+        classification warm.  A memento whose classes were renamed or
+        replaced since it was taken forgets every type.
+        """
         classes, supers, subs = memento
+        current = self._classes
+        if all(
+            cls.name == name and current.get(name, cls) is cls
+            for name, cls in classes.items()
+        ):
+            if any(name not in current for name in classes):
+                # classes removed since the memento come back at their old
+                # registration positions: renumber on the next lookup
+                self._index = None
+            for name, cls in current.items():
+                if name not in classes:
+                    self._type_cache.pop(name, None)
+                    if self._index is not None:
+                        self._index.discard(cls)
+        else:
+            self._forget_types()
         self._classes = dict(classes)
         self._supers = {name: set(sups) for name, sups in supers.items()}
         self._subs = {name: set(s) for name, s in subs.items()}
-        self._dirty()
+        self._reshaped()
 
     # -- convenience --------------------------------------------------------------
 
