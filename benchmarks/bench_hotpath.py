@@ -1,21 +1,16 @@
-"""Hot-path before/after: what PR 6's compilation + batching actually buys.
+"""Hot-path before/after: what compiled predicates, batched updates and
+bulk equivalence sweeps buy.
 
-Three layers of comparison, all measured in the SAME process/run so the
-machine state is held constant:
+Two layers of comparison:
 
-1. **After** — the shipped defaults: compiled predicates, row matchers,
-   bulk equivalence sweeps, batched ``apply_many``.
-2. **Toggle-before** — the same tree with every runtime switch flipped to
-   its historical behaviour: ``REPRO_COMPILED_PREDICATES`` off (interpreted
-   tree-walk), ``bulk_sweep=False`` (accessor-at-a-time equivalence sweep),
-   ``batched=False`` (per-update application).  This isolates the
-   *switchable* part of the work; the non-switchable micro-optimisations
-   (pre-bound column readers, oracle memoisation, C-level ``Oid`` sort
-   keys, single-access slot writes) benefit both sides.
-3. **Pre-PR** — a ``git worktree`` of the seed commit is benchmarked in a
-   subprocess with the same interpreter, giving the true end-to-end
-   speedup.  Skipped (and recorded as such) when git or the commit is
-   unavailable (e.g. shallow CI clones).
+1. **After** — the tree as it is: compiled predicates, row matchers, bulk
+   equivalence sweeps, batched ``apply_many``.  Alongside, the select
+   row matchers are timed against the interpreted ``Predicate.matches``
+   over the same objects, in the same process.
+2. **Pre-PR** — a ``git worktree`` of the commit before the hot-path work
+   is benchmarked in a subprocess with the same interpreter, giving the
+   end-to-end speedup.  Skipped (and recorded as such) when git or the
+   commit is unavailable (e.g. shallow CI clones).
 
 Results land in ``BENCH_hotpath.json`` at the repo root next to the stored
 floors that ``tests/test_bench_smoke.py::test_hotpath_floor`` enforces on
@@ -38,7 +33,10 @@ from conftest import format_table, write_bench_json, write_report
 from repro.algebra import compiler
 from repro.checking.commands import CommandGenerator
 from repro.checking.runner import DifferentialHarness
-from repro.workloads.extent_maintenance import measure_mixed_workload
+from repro.workloads.extent_maintenance import (
+    build_select_workload,
+    measure_mixed_workload,
+)
 
 REPO_ROOT = Path(__file__).parent.parent
 BENCH_JSON = REPO_ROOT / "BENCH_hotpath.json"
@@ -51,14 +49,13 @@ FUZZ_SEEDS = range(100, 112)
 REPEATS = 3
 MIXED_OBJECTS = 200
 MIXED_ROUNDS = 300
+#: passes over the select classes' source objects per timed sample
+SELECT_ROUNDS = 20
 
 
-def _run_fuzz_once(seed: int, length: int, before: bool) -> int:
+def _run_fuzz_once(seed: int, length: int) -> int:
     commands = CommandGenerator(seed).generate(length)
     harness = DifferentialHarness()
-    if before:
-        harness.bulk_sweep = False
-        harness.batched = False
     try:
         for command in commands:
             harness.apply(command)
@@ -67,42 +64,81 @@ def _run_fuzz_once(seed: int, length: int, before: bool) -> int:
     return len(commands)
 
 
-def _fuzz_rate(before: bool) -> float:
+def _fuzz_rate() -> float:
     """Median-of-N commands/second; warm-up excluded from the clock."""
-    compiler.set_compilation(not before)
-    try:
-        _run_fuzz_once(0, FUZZ_LENGTH, before)  # warm-up
-        rates = []
-        for _ in range(REPEATS):
-            start = time.perf_counter()
-            n = sum(_run_fuzz_once(s, FUZZ_LENGTH, before) for s in FUZZ_SEEDS)
-            rates.append(n / (time.perf_counter() - start))
-        return statistics.median(rates)
-    finally:
-        compiler.set_compilation(True)
+    _run_fuzz_once(0, FUZZ_LENGTH)  # warm-up
+    rates = []
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        n = sum(_run_fuzz_once(s, FUZZ_LENGTH) for s in FUZZ_SEEDS)
+        rates.append(n / (time.perf_counter() - start))
+    return statistics.median(rates)
 
 
-def _mixed_rate(before: bool) -> dict:
-    compiler.set_compilation(not before)
-    try:
-        result = measure_mixed_workload(
-            n_objects=MIXED_OBJECTS, rounds=MIXED_ROUNDS
+def _mixed_rate() -> dict:
+    result = measure_mixed_workload(n_objects=MIXED_OBJECTS, rounds=MIXED_ROUNDS)
+    return {
+        "incremental_ops_per_sec": round(result["incremental"]["ops_per_sec"]),
+        "baseline_ops_per_sec": round(result["baseline"]["ops_per_sec"]),
+    }
+
+
+def _select_matcher_rates() -> dict:
+    """Predicate evaluations/second over the mixed workload's select
+    classes: the row-compiled matchers the extent evaluators use, and
+    the interpreted ``matches`` over a planned reader (best of N)."""
+    db, _ = build_select_workload(MIXED_OBJECTS)
+    plans = db.evaluator.plans
+    cases = []
+    for name in ("Adults", "Honors"):
+        derivation = db.schema[name].derivation
+        source = derivation.source
+        members = sorted(db.evaluator.extent(source))
+        row = compiler.row_matcher(
+            derivation.predicate,
+            lambda attr, _s=source: plans.oid_reader(_s, attr),
+            lambda oid, _s=source: plans.reader(_s, oid),
         )
-        return {
-            "incremental_ops_per_sec": round(result["incremental"]["ops_per_sec"]),
-            "baseline_ops_per_sec": round(result["baseline"]["ops_per_sec"]),
-        }
-    finally:
-        compiler.set_compilation(True)
+        cases.append((derivation.predicate, source, members, row))
+    evaluations = SELECT_ROUNDS * sum(len(members) for _, _, members, _ in cases)
+
+    def compiled_pass():
+        for _ in range(SELECT_ROUNDS):
+            for _pred, _source, members, row in cases:
+                for oid in members:
+                    row(oid)
+
+    def interpreted_pass():
+        for _ in range(SELECT_ROUNDS):
+            for pred, source, members, _row in cases:
+                for oid in members:
+                    pred.matches(plans.reader(source, oid))
+
+    # alternate the two sides so machine drift hits both alike
+    best = {compiled_pass: float("inf"), interpreted_pass: float("inf")}
+    for _ in range(REPEATS * 3):
+        for run in best:
+            start = time.perf_counter()
+            run()
+            best[run] = min(best[run], time.perf_counter() - start)
+    compiled = evaluations / best[compiled_pass]
+    interpreted = evaluations / best[interpreted_pass]
+    return {
+        "compiled_evals_per_sec": round(compiled),
+        "interpreted_evals_per_sec": round(interpreted),
+        "compiled_vs_interpreted": round(compiled / interpreted, 2),
+    }
 
 
 #: subprocess payload run inside the pre-PR worktree — measures the same
-#: two workloads with that tree's own modules (no toggles: the knobs do
-#: not exist there)
+#: two workloads with that tree's own modules
 _PRE_PR_SCRIPT = r"""
 import json, statistics, sys, time
 from repro.checking.runner import run_sequence
-from repro.workloads.extent_maintenance import measure_mixed_workload
+from repro.workloads.extent_maintenance import (
+    build_select_workload,
+    measure_mixed_workload,
+)
 
 length, repeats, n_objects, rounds = (int(a) for a in sys.argv[1:5])
 run_sequence(0, length=length)  # warm-up
@@ -153,10 +189,9 @@ def _measure_pre_pr() -> dict:
 
 
 def test_hotpath_before_after():
-    after_fuzz = _fuzz_rate(before=False)
-    toggle_fuzz = _fuzz_rate(before=True)
-    after_mixed = _mixed_rate(before=False)
-    toggle_mixed = _mixed_rate(before=True)
+    after_fuzz = _fuzz_rate()
+    after_mixed = _mixed_rate()
+    select = _select_matcher_rates()
     pre_pr = _measure_pre_pr()
 
     payload = {
@@ -165,28 +200,19 @@ def test_hotpath_before_after():
             "sequences": len(FUZZ_SEEDS),
             "repeats": REPEATS,
             "after_commands_per_sec": round(after_fuzz, 1),
-            "toggle_before_commands_per_sec": round(toggle_fuzz, 1),
-            "toggle_speedup": round(after_fuzz / toggle_fuzz, 2),
         },
         "mixed": {
             "n_objects": MIXED_OBJECTS,
             "rounds": MIXED_ROUNDS,
             "after": after_mixed,
-            "toggle_before": toggle_mixed,
-            "toggle_speedup_incremental": round(
-                after_mixed["incremental_ops_per_sec"]
-                / toggle_mixed["incremental_ops_per_sec"], 2),
-            "toggle_speedup_baseline_evaluator": round(
-                after_mixed["baseline_ops_per_sec"]
-                / toggle_mixed["baseline_ops_per_sec"], 2),
         },
+        "select_matchers": dict(select, n_objects=MIXED_OBJECTS),
         # floors enforced by tests/test_bench_smoke.py::test_hotpath_floor
-        # on every tier-1 run (ratios are machine-independent; the absolute
-        # floor only catches structural collapse)
+        # on every tier-1 run (the ratio is machine-independent; the
+        # absolute floor only catches structural collapse)
         "floors": {
             "fuzz_commands_per_sec_min": 150,
-            "fuzz_toggle_speedup_min": 1.3,
-            "mixed_compiled_vs_interpreted_min": 0.95,
+            "select_row_matcher_vs_interpreted_min": 1.3,
         },
     }
     if pre_pr:
@@ -204,39 +230,43 @@ def test_hotpath_before_after():
     write_bench_json("hotpath", payload, target=BENCH_JSON)
 
     rows = [
-        ("fuzz (cmd/s)", f"{toggle_fuzz:.0f}", f"{after_fuzz:.0f}",
-         f"{after_fuzz / toggle_fuzz:.2f}x"),
-        ("mixed incremental (ops/s)",
-         toggle_mixed["incremental_ops_per_sec"],
-         after_mixed["incremental_ops_per_sec"],
-         f"{payload['mixed']['toggle_speedup_incremental']:.2f}x"),
-        ("mixed baseline-eval (ops/s)",
-         toggle_mixed["baseline_ops_per_sec"],
-         after_mixed["baseline_ops_per_sec"],
-         f"{payload['mixed']['toggle_speedup_baseline_evaluator']:.2f}x"),
+        ("select predicate (evals/s)", select["interpreted_evals_per_sec"],
+         select["compiled_evals_per_sec"],
+         f"{select['compiled_vs_interpreted']:.2f}x"),
     ]
     if pre_pr:
         rows.append(
-            ("fuzz vs pre-PR (cmd/s)", pre_pr["fuzz_commands_per_sec"],
+            ("fuzz (cmd/s)", pre_pr["fuzz_commands_per_sec"],
              f"{after_fuzz:.0f}", f"{payload['fuzz']['speedup_vs_pre_pr']:.2f}x")
         )
         rows.append(
-            ("mixed incr vs pre-PR (ops/s)",
+            ("mixed incremental (ops/s)",
              pre_pr["mixed_incremental_ops_per_sec"],
              after_mixed["incremental_ops_per_sec"],
              f"{payload['mixed']['speedup_vs_pre_pr_incremental']:.2f}x")
         )
+        rows.append(
+            ("mixed baseline-eval (ops/s)",
+             pre_pr["mixed_baseline_ops_per_sec"],
+             after_mixed["baseline_ops_per_sec"],
+             f"{payload['mixed']['speedup_vs_pre_pr_baseline_evaluator']:.2f}x")
+        )
+    else:
+        rows.append(("fuzz (cmd/s)", "-", f"{after_fuzz:.0f}", "-"))
+        rows.append(("mixed incremental (ops/s)", "-",
+                     after_mixed["incremental_ops_per_sec"], "-"))
+        rows.append(("mixed baseline-eval (ops/s)", "-",
+                     after_mixed["baseline_ops_per_sec"], "-"))
     write_report(
         "hotpath",
         "Hot-path before/after (compiled predicates, batched updates, "
-        "bulk sweeps)",
+        "bulk sweeps); select row is interpreted vs compiled, the others "
+        "pre-PR vs after",
         format_table(["workload", "before", "after", "speedup"], rows),
     )
 
-    # the toggled-off configuration must never win: compilation and
-    # batching have to pay for themselves on the paths they target
-    assert after_fuzz > toggle_fuzz
+    # the compiled select matchers have to pay for themselves
     assert (
-        after_mixed["baseline_ops_per_sec"]
-        >= toggle_mixed["baseline_ops_per_sec"] * 0.95
-    )
+        select["compiled_vs_interpreted"]
+        >= payload["floors"]["select_row_matcher_vs_interpreted_min"]
+    ), select

@@ -1,23 +1,22 @@
-"""Writer-visible schema-change pause: lazy migration vs eager capture.
+"""Writer-visible schema-change pause under lazy migration.
 
-Eager epoch publication recomputes every class extent while the writer
-still holds the schema latch, so the pause a schema change imposes on the
-system grows linearly with the population.  Lazy migration (DESIGN.md
-section 16) publishes the epoch with *pending* extents and lets the
+Capturing every class extent while the writer still holds the schema
+latch would make the pause a schema change imposes grow linearly with
+the population.  Lazy migration (DESIGN.md section 16) publishes the
+epoch with *pending* extents and lets the
 :class:`~repro.concurrency.migration.MigrationEngine` capture them off
-the critical path — the pause must become flat in the object count.
+the critical path — the pause must be flat in the object count.
 
 For each scale factor (1x/10x/100x of a ~120-object base population) the
 bench measures the best-of-N wall-clock time of one ``add_attribute``
-schema change committed through a writer session, under both migration
-modes, then asserts:
+schema change committed through a writer session, then asserts:
 
-* the lazy pause is sub-millisecond-class at every scale (<2 ms with CI
+* the pause is sub-millisecond-class at every scale (<2 ms with CI
   slack; locally ~0.5 ms);
-* the lazy pause is *flat*: 100x pays less than ``FLATNESS_BOUND``x the
-  1x pause (eager pays ~20x);
-* at 100x, eager is at least ``EAGER_GAP``x slower than lazy — the gap
-  the whole subsystem exists to open.
+* the pause is *flat*: 100x pays less than ``FLATNESS_BOUND``x the 1x
+  pause;
+* the deferred work is real: the run leaves a backlog that the drain
+  afterwards captures.
 
 The backfill worker is disabled during measurement (each run drains
 explicitly afterwards) so the numbers are pause, not pause-plus-drain.
@@ -40,20 +39,17 @@ BENCH_MIGRATION_JSON = Path(__file__).parent.parent / "BENCH_migration.json"
 #: base population (objects) at scale factor 1
 BASE_OBJECTS = 120
 SCALES = (1, 10, 100)
-#: schema changes timed per (mode, scale) cell; the best is the pause
+#: schema changes timed per scale; the best is the pause
 REPEATS = 7
 
-#: CI-slack bound on the lazy pause at *every* scale, milliseconds
+#: CI-slack bound on the pause at *every* scale, milliseconds
 LAZY_PAUSE_MS = 2.0
-#: lazy pause at 100x may be at most this multiple of the 1x pause
+#: the pause at 100x may be at most this multiple of the 1x pause
 FLATNESS_BOUND = 4.0
-#: eager must be at least this much slower than lazy at 100x
-EAGER_GAP = 3.0
 
 
-def build_db(n_objects: int, mode: str) -> TseDatabase:
+def build_db(n_objects: int) -> TseDatabase:
     db = TseDatabase()
-    db.migration_mode = mode
     db.migration_backfill = False  # measure the pause, not the drain
     db.define_class(
         "Person",
@@ -72,10 +68,10 @@ def build_db(n_objects: int, mode: str) -> TseDatabase:
     return db
 
 
-def measure_pause(mode: str, scale: int) -> dict:
+def measure_pause(scale: int) -> dict:
     """Best-of-``REPEATS`` writer-visible milliseconds for one schema
-    change, plus the post-run drain cost (lazy only)."""
-    db = build_db(BASE_OBJECTS * scale, mode)
+    change, plus the post-run drain cost."""
+    db = build_db(BASE_OBJECTS * scale)
     sessions = db.sessions()
     pauses = []
     for k in range(REPEATS):
@@ -83,13 +79,10 @@ def measure_pause(mode: str, scale: int) -> dict:
         with sessions.writer() as writer:
             writer.view("campus").add_attribute(f"tmp{k}", to="Person")
         pauses.append((time.perf_counter() - start) * 1000)
-    backlog = 0
-    drain_ms = 0.0
-    if sessions.migration is not None:
-        backlog = sessions.migration.backlog()
-        start = time.perf_counter()
-        sessions.migration.drain()
-        drain_ms = (time.perf_counter() - start) * 1000
+    backlog = sessions.migration.backlog()
+    start = time.perf_counter()
+    sessions.migration.drain()
+    drain_ms = (time.perf_counter() - start) * 1000
     return {
         "pause_per_schema_change_ms": round(min(pauses), 3),
         "pause_worst_ms": round(max(pauses), 3),
@@ -100,37 +93,26 @@ def measure_pause(mode: str, scale: int) -> dict:
 
 
 def test_schema_change_pause_is_flat_under_lazy_migration():
-    cells = {
-        mode: {scale: measure_pause(mode, scale) for scale in SCALES}
-        for mode in ("lazy", "eager")
-    }
-    lazy, eager = cells["lazy"], cells["eager"]
+    lazy = {scale: measure_pause(scale) for scale in SCALES}
 
     # sub-millisecond-class pause at every scale (CI slack: <2 ms)
     for scale in SCALES:
-        assert lazy[scale]["pause_per_schema_change_ms"] < LAZY_PAUSE_MS, cells
+        assert lazy[scale]["pause_per_schema_change_ms"] < LAZY_PAUSE_MS, lazy
     # flat in the object count: 100x costs < FLATNESS_BOUND x the 1x pause
     assert (
         lazy[100]["pause_per_schema_change_ms"]
         < FLATNESS_BOUND * max(lazy[1]["pause_per_schema_change_ms"], 0.05)
-    ), cells
-    # the gap lazy migration opens at scale
-    assert (
-        eager[100]["pause_per_schema_change_ms"]
-        > EAGER_GAP * lazy[100]["pause_per_schema_change_ms"]
-    ), cells
+    ), lazy
     # lazy deferred real work: the drain afterwards captured the backlog
-    assert lazy[100]["backlog_after_run"] > 0, cells
+    assert lazy[100]["backlog_after_run"] > 0, lazy
 
     payload = {
         "base_objects": BASE_OBJECTS,
         "repeats": REPEATS,
         "lazy": {f"scale_{s}x": lazy[s] for s in SCALES},
-        "eager": {f"scale_{s}x": eager[s] for s in SCALES},
         "bounds": {
             "lazy_pause_ms": LAZY_PAUSE_MS,
             "flatness": FLATNESS_BOUND,
-            "eager_gap_at_100x": EAGER_GAP,
         },
     }
     write_bench_json(
@@ -141,12 +123,7 @@ def test_schema_change_pause_is_flat_under_lazy_migration():
         (
             f"{scale}x ({BASE_OBJECTS * scale})",
             lazy[scale]["pause_per_schema_change_ms"],
-            eager[scale]["pause_per_schema_change_ms"],
-            round(
-                eager[scale]["pause_per_schema_change_ms"]
-                / max(lazy[scale]["pause_per_schema_change_ms"], 1e-9),
-                1,
-            ),
+            lazy[scale]["pause_worst_ms"],
             lazy[scale]["backlog_after_run"],
             lazy[scale]["drain_ms"],
         )
@@ -154,29 +131,23 @@ def test_schema_change_pause_is_flat_under_lazy_migration():
     ]
     body = (
         f"Best-of-{REPEATS} writer-visible wall-clock per `add_attribute` "
-        "schema change, committed through a writer session.  Lazy publishes "
-        "the epoch with pending extents (captured off the critical path); "
-        "eager recomputes every extent inside the latch:\n\n"
+        "schema change, committed through a writer session.  The epoch "
+        "publishes with pending extents, captured off the critical path; "
+        "the drain afterwards captures the backlog:\n\n"
         + format_table(
             [
                 "scale (objects)",
-                "lazy pause ms",
-                "eager pause ms",
-                "eager/lazy",
-                "lazy backlog",
-                "lazy drain ms",
+                "pause ms",
+                "worst pause ms",
+                "backlog",
+                "drain ms",
             ],
             rows,
         )
-        + "\n\nBounds asserted: lazy pause < "
-        f"{LAZY_PAUSE_MS} ms at every scale; lazy 100x < {FLATNESS_BOUND}x "
-        f"lazy 1x; eager 100x > {EAGER_GAP}x lazy 100x."
+        + "\n\nBounds asserted: pause < "
+        f"{LAZY_PAUSE_MS} ms at every scale; 100x < {FLATNESS_BOUND}x 1x."
     )
-    write_report(
-        "migration",
-        "Schema-change pause: lazy migration vs eager capture",
-        body,
-    )
+    write_report("migration", "Schema-change pause under lazy migration", body)
 
 
 @pytest.mark.bench_smoke
@@ -184,6 +155,6 @@ def test_migration_pause_smoke():
     """Tier-1 smoke: at the base scale, a lazy schema change completes in
     single-digit milliseconds and leaves a drainable backlog (lenient
     bound — the full run asserts the real flatness across 100x)."""
-    cell = measure_pause("lazy", 1)
+    cell = measure_pause(1)
     assert cell["pause_per_schema_change_ms"] < 10.0, cell
     assert cell["backlog_after_run"] > 0, cell

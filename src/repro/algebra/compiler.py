@@ -27,10 +27,8 @@ over randomized ASTs and readers.
 **Fallback.**  A predicate type the lowerer does not recognise (user
 subclasses of :class:`~repro.algebra.expressions.Predicate`) compiles to its
 own bound ``matches`` — the interpreter *is* the fallback, so compilation
-can never change behaviour, only speed.  The switch
-``REPRO_COMPILED_PREDICATES=0`` (or :func:`set_compilation`) disables
-lowering globally and makes :func:`matcher` hand back bound ``matches``
-everywhere; the differential oracle runs green under both settings.
+can never change behaviour, only speed.  ``matches`` also stays the
+reference the compiler tests compare every compiled closure against.
 
 Compiled closures are cached per :meth:`Predicate.signature` — two
 textually identical predicates (which the classifier already treats as the
@@ -39,51 +37,12 @@ same class) share one compiled function.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Callable, Dict, Optional, Tuple
-
-#: environment switch: set to ``0``/``false``/``off`` to fall back to the
-#: interpreted ``matches`` tree-walk everywhere (read once at import; use
-#: :func:`set_compilation` to flip at runtime)
-ENV_SWITCH = "REPRO_COMPILED_PREDICATES"
 
 _lock = threading.Lock()
 _cache: Dict[tuple, Callable[[Callable[[str], object]], bool]] = {}
 _stats = {"compiled": 0, "hits": 0, "fallbacks": 0}
-
-
-def _env_enabled() -> bool:
-    raw = os.environ.get(ENV_SWITCH, "1").strip().lower()
-    return raw not in ("0", "false", "off", "no")
-
-
-_enabled = _env_enabled()
-
-
-def compilation_enabled() -> bool:
-    """Is predicate lowering active (env switch + runtime toggle)?"""
-    return _enabled
-
-
-#: bumped on every :func:`set_compilation` flip so caches holding compiled
-#: matchers (the extent evaluators') know to rebuild
-_epoch = 0
-
-
-def compilation_epoch() -> int:
-    """Monotone counter identifying the current toggle state; include it in
-    any cache key that stores the output of :func:`matcher`."""
-    return _epoch
-
-
-def set_compilation(enabled: bool) -> None:
-    """Runtime override of the ``REPRO_COMPILED_PREDICATES`` switch (used by
-    the CLI's ``.compile`` meta-command and the before/after benchmarks)."""
-    global _enabled, _epoch
-    if bool(enabled) != _enabled:
-        _enabled = bool(enabled)
-        _epoch += 1
 
 
 def compiler_stats() -> Dict[str, int]:
@@ -224,11 +183,8 @@ def compile_predicate(pred) -> Callable[[Callable[[str], object]], bool]:
 
 
 def matcher(pred) -> Callable[[Callable[[str], object]], bool]:
-    """The evaluator hot paths should call: compiled when compilation is
-    enabled, the bound interpreter ``matches`` otherwise."""
-    if _enabled:
-        return compile_predicate(pred)
-    return pred.matches
+    """The evaluator hot paths should call (the cached compiled closure)."""
+    return compile_predicate(pred)
 
 
 # ---------------------------------------------------------------------------
@@ -329,16 +285,15 @@ def _lower_row(pred, resolve) -> Optional[Callable[[object], bool]]:
 def row_matcher(pred, resolve, reader_factory) -> Callable[[object], bool]:
     """An OID-level matcher: ``fn(oid) -> bool``.
 
-    When compilation is on and every node lowers, the result reads columns
-    through ``resolve``'s pre-bound readers.  Otherwise (interpreter mode,
-    or an unliftable node) it evaluates the predicate exactly as before —
-    through a per-object attribute reader from ``reader_factory(oid)`` —
-    so semantics never depend on which form was chosen.
+    When every node lowers, the result reads columns through
+    ``resolve``'s pre-bound readers.  Otherwise (an unliftable node) it
+    evaluates the compiled predicate through a per-object attribute reader
+    from ``reader_factory(oid)`` — semantics never depend on which form
+    was chosen.
     """
-    if _enabled:
-        lowered = _lower_row(pred, resolve)
-        if lowered is not None:
-            return lowered
+    lowered = _lower_row(pred, resolve)
+    if lowered is not None:
+        return lowered
     matches = matcher(pred)
 
     def fallback(oid):

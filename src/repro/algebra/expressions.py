@@ -45,20 +45,6 @@ class Predicate:
     def to_dict(self) -> dict:
         raise NotImplementedError
 
-    def compile(self) -> Callable[[Reader], bool]:
-        """Lower this AST to a specialized closure (cached per signature).
-
-        The compiled function has exactly the semantics of :meth:`matches`
-        — same results, same exceptions, same evaluation order — but pays
-        no per-node call overhead.  Node types the compiler does not know
-        fall back to the bound interpreter, and the global switch
-        ``REPRO_COMPILED_PREDICATES=0`` disables lowering entirely; see
-        :mod:`repro.algebra.compiler`.
-        """
-        from repro.algebra.compiler import compile_predicate
-
-        return compile_predicate(self)
-
     # boolean-operator sugar --------------------------------------------------
 
     def __and__(self, other: "Predicate") -> "And":

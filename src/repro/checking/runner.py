@@ -121,7 +121,6 @@ class DifferentialHarness:
         wal_dir=None,
         sync: str = "off",
         dossier_dir=None,
-        migration_mode: Optional[str] = None,
     ) -> None:
         self._tmp: Optional[str] = None
         if wal_dir is None:
@@ -142,13 +141,6 @@ class DifferentialHarness:
         # fsyncing the throwaway WAL buys nothing — "off" keeps every
         # append flushed to the OS, which is all recovery needs here
         self.sync = sync
-        # migration_mode pins lazy vs eager epoch capture for the whole run
-        # (None defers to the usual env/default resolution); the background
-        # backfill worker is always off here — a concurrent worker append
-        # would consume armed crash injections and wreck replay
-        # determinism, so drains happen only through explicit
-        # ``backfill_step`` commands and reader first-touch captures
-        self.migration_mode = migration_mode
         self.db = self._fresh_db(TseDatabase())
         self.model = RefModel()
         self.readers: Dict[int, object] = {}
@@ -159,17 +151,9 @@ class DifferentialHarness:
         self.apps: Dict[int, Tuple[str, int]] = {}
         self.step = 0
         self.outcomes: List[Tuple[int, str, str]] = []
-        # the equivalence sweep normally reads each view in bulk (one
-        # latched read per view, schema-derived plans cached across
-        # steps); False falls back to the historical accessor-at-a-time
-        # sweep — kept for the hot-path benchmark's "before" mode and as
-        # a cross-check of the bulk reader itself
-        self.bulk_sweep = True
+        # the equivalence sweep reads each view in bulk (one latched read
+        # per view, schema-derived plans cached across steps)
         self._dump_plans: Dict[tuple, list] = {}
-        # batched=False routes apply_many through the legacy per-update
-        # path (per-update WAL commits, no atomicity) — the benchmark's
-        # "before" mode
-        self.batched = True
         # sweep memo: commands that provably changed nothing observable
         # (read-only selects, rejected updates) reuse the previous sweep's
         # verdict.  The key covers both sides' change counters plus a
@@ -179,11 +163,12 @@ class DifferentialHarness:
         self._last_sweep_key: Optional[tuple] = None
 
     def _fresh_db(self, db: TseDatabase) -> TseDatabase:
-        """Stamp the harness's migration configuration onto a database
-        (the initial one and every recovered replacement) before its
-        session manager attaches."""
-        if self.migration_mode is not None:
-            db.migration_mode = self.migration_mode
+        """Turn the background backfill worker off on a database (the
+        initial one and every recovered replacement) before its session
+        manager attaches.  A concurrent worker append would consume armed
+        crash injections and wreck replay determinism, so drains happen
+        only through explicit ``backfill_step`` commands and reader
+        first-touch captures."""
         db.migration_backfill = False
         return db
 
@@ -862,10 +847,8 @@ class DifferentialHarness:
                 oracle_fns.append(fn)
         if not specs:
             return "skipped"
-        if not self.batched:
-            return self._apply_many_legacy(specs, oracle_fns)
         try:
-            results = self.db.apply_many(specs, batched=self.batched)
+            results = self.db.apply_many(specs)
         except TseError as exc:
             shadow = self.model.clone_for_updates()
             try:
@@ -892,41 +875,6 @@ class DifferentialHarness:
                     f"#{index}: {exc}",
                 )
         return "applied"
-
-    def _apply_many_legacy(
-        self, specs: List[tuple], oracle_fns: List[Callable]
-    ) -> str:
-        """Before-mode batch: one update at a time, outcomes checked per
-        item (``batched=False`` has no atomicity, so a rejected update
-        leaves the already-applied prefix in place on both sides)."""
-        rejected = 0
-        for index, (spec, fn) in enumerate(zip(specs, oracle_fns)):
-            try:
-                value = self.db.apply_many([spec], batched=False)[0]
-            except TseError as exc:
-                shadow = self.model.clone_for_updates()
-                try:
-                    fn(shadow, f"batch-dummy-{index}")
-                except OracleReject:
-                    rejected += 1
-                    continue
-                raise Divergence(
-                    "outcome",
-                    "apply_many",
-                    self.step,
-                    f"real rejected update #{index} "
-                    f"({type(exc).__name__}: {exc}), oracle applied it",
-                )
-            try:
-                fn(self.model, value)
-            except OracleReject as exc:
-                raise Divergence(
-                    "outcome",
-                    "apply_many",
-                    self.step,
-                    f"real applied update #{index}, oracle rejected it: {exc}",
-                )
-        return "rejected" if rejected else "applied"
 
     def _prep_batch_item(self, command: Command):
         """Resolve one batch update into ``(engine_spec, oracle_fn)``.
@@ -1028,10 +976,10 @@ class DifferentialHarness:
         side.  The oracle applies nothing: migration must be observably
         invisible, and the post-step equivalence sweep (plus any pinned
         ``reader_check``) is exactly that assertion.  Skipped when no
-        session manager is attached yet or the mode is eager — both sides
-        agree nothing happened."""
+        session manager is attached yet — both sides agree nothing
+        happened."""
         manager = getattr(self.db, "_sessions", None)
-        if manager is None or manager.migration is None:
+        if manager is None:
             return "skipped"
         manager.migration.backfill_step(args.get("limit"))
         return "applied"
@@ -1376,13 +1324,11 @@ class DifferentialHarness:
     def _check_equivalence(self, op: str) -> None:
         """Compare every observable of every view against the oracle.
 
-        The bulk sweep (default) reads each view through one
-        ``ViewHandle.dump()`` — a single latched resolution per view — and
-        compares the result; the slow sweep walks the per-call accessor
-        surface (one handle call per observable, one ``get_object`` per
-        member).  Both check the same observables; the slow path survives
-        as the hot-path benchmark's "before" mode and as a cross-check
-        that the bulk reader answers exactly what the accessors do.
+        Each view is read through one ``ViewHandle.dump()`` — a single
+        latched resolution per view — and compared whole; only a view
+        that disagrees is drilled down observable by observable to name
+        the divergence.  ``tests/test_view_dump.py`` checks that ``dump()``
+        answers exactly what the per-call accessor surface does.
         """
         def div(what: str, detail: str):
             raise Divergence(f"observe:{what}", op, self.step, detail)
@@ -1399,7 +1345,7 @@ class DifferentialHarness:
             self.db.pool.generation,
             self.model.mutations,
         )
-        if self.bulk_sweep and state_key == self._last_sweep_key:
+        if state_key == self._last_sweep_key:
             return
 
         real_views = sorted(self.db.view_names())
@@ -1410,25 +1356,17 @@ class DifferentialHarness:
         if real_rows != oracle_rows:
             div("lifecycle", f"real {real_rows!r} != oracle {oracle_rows!r}")
         for view in real_views:
-            handle = self.db.view(view)
-            if self.bulk_sweep:
-                dump = handle.dump(self._dump_plans)
-                oracle_dump = self.model.dump(view)
-                if (
-                    dump["version"] == oracle_dump["version"]
-                    and sorted(dump["classes"]) == oracle_dump["classes"]
-                    and dump["by_class"] == oracle_dump["by_class"]
-                    and self._closure(dump["edges"]) == self.model.anc_pairs(view)
-                ):
-                    continue  # everything agrees; skip the drill-down
-                real_classes = sorted(dump["classes"])
-                real_version = dump["version"]
-                real_edges = dump["edges"]
-            else:
-                dump = None
-                real_classes = sorted(handle.class_names())
-                real_version = handle.version
-                real_edges = handle.edges()
+            dump = self.db.view(view).dump(self._dump_plans)
+            oracle_dump = self.model.dump(view)
+            if (
+                dump["version"] == oracle_dump["version"]
+                and sorted(dump["classes"]) == oracle_dump["classes"]
+                and dump["by_class"] == oracle_dump["by_class"]
+                and self._closure(dump["edges"]) == self.model.anc_pairs(view)
+            ):
+                continue  # everything agrees; skip the drill-down
+            real_classes = sorted(dump["classes"])
+            real_version = dump["version"]
             if real_classes != self.model.class_names(view):
                 div(
                     "classes",
@@ -1441,7 +1379,7 @@ class DifferentialHarness:
                     f"{view!r}: real v{real_version} != oracle "
                     f"v{self.model.version(view)}",
                 )
-            real_pairs = self._closure(real_edges)
+            real_pairs = self._closure(dump["edges"])
             oracle_pairs = self.model.anc_pairs(view)
             if real_pairs != oracle_pairs:
                 div(
@@ -1451,20 +1389,11 @@ class DifferentialHarness:
                     f"{sorted(oracle_pairs - real_pairs)}",
                 )
             for cls in real_classes:
-                if dump is not None:
-                    entry = dump["by_class"][cls]
-                    real_attrs = entry["attributes"]
-                    real_methods = entry["methods"]
-                    real_extent = entry["extent"]
-                    real_count = entry["count"]
-                    real_objects = entry["objects"]
-                else:
-                    cls_handle = handle[cls]
-                    real_attrs = sorted(cls_handle.attribute_names())
-                    real_methods = sorted(cls_handle.method_names())
-                    real_extent = sorted(cls_handle.extent_oids())
-                    real_count = cls_handle.count()
-                    real_objects = None
+                entry = dump["by_class"][cls]
+                real_attrs = entry["attributes"]
+                real_methods = entry["methods"]
+                real_extent = entry["extent"]
+                real_count = entry["count"]
                 if real_attrs != self.model.attribute_names(view, cls):
                     div(
                         "attributes",
@@ -1489,10 +1418,7 @@ class DifferentialHarness:
                         f"{view!r}.{cls!r}: count {real_count} != {len(extent)}",
                     )
                 for oid in extent:
-                    if real_objects is not None:
-                        real_values = real_objects[oid]
-                    else:
-                        real_values = cls_handle.get_object(oid).values()
+                    real_values = entry["objects"][oid]
                     oracle_values = self.model.object_values(view, cls, oid)
                     if real_values != oracle_values:
                         div(
@@ -1513,11 +1439,11 @@ class _AbortTxn(Exception):
 
 
 def run_commands(
-    commands: List[Command], wal_dir=None, migration_mode: Optional[str] = None
+    commands: List[Command], wal_dir=None
 ) -> Optional[Divergence]:
     """Replay an explicit command list; return the first divergence (or
     ``None``).  Used by corpus replays and ddmin probes."""
-    harness = DifferentialHarness(wal_dir, migration_mode=migration_mode)
+    harness = DifferentialHarness(wal_dir)
     try:
         for command in commands:
             harness.apply(command)
@@ -1533,15 +1459,12 @@ def run_sequence(
     length: int = 20,
     config: Optional[dict] = None,
     wal_dir=None,
-    migration_mode: Optional[str] = None,
 ) -> Tuple[List[Command], Optional[Divergence]]:
     """Generate and run one seeded random sequence (setup prefix plus
     ``length`` random commands); return ``(commands, divergence_or_None)``."""
     generator = CommandGenerator(seed, config)
     commands = generator.generate(length)
-    return commands, run_commands(
-        commands, wal_dir=wal_dir, migration_mode=migration_mode
-    )
+    return commands, run_commands(commands, wal_dir=wal_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,8 @@ updates, ``merge``) plus a handful of meta-commands:
     .flight dir <path>    set the dossier directory (enables automatic
                           dumps on failure / recovery / divergence)
     .flight log <file>    mirror flight records to a JSONL file (rotating)
-    .compile [on|off]     predicate compilation: show status (with compiler
-                          counters), or force the compiled / interpreted
-                          evaluator for this process
+    .compile              predicate compiler counters (closures built,
+                          cache hits, fallbacks, cache size)
     .batch begin          start collecting update statements instead of
                           executing them
     .batch commit         apply the collected updates as ONE atomic batch
@@ -335,17 +334,9 @@ def _meta_command(
                 f"now using view {state['view']!r}"
             )
     elif command == ".compile":
-        if not args:
-            status = "on" if compilermod.compilation_enabled() else "off"
-            stats = compilermod.compiler_stats()
-            emit(f"predicate compilation is {status}")
-            for key, value in stats.items():
-                emit(f"  {key}: {value}")
-        elif args[0] in ("on", "off"):
-            compilermod.set_compilation(args[0] == "on")
-            emit(f"predicate compilation {args[0]}")
-        else:
-            emit("usage: .compile [on|off]")
+        emit("predicate compiler")
+        for key, value in compilermod.compiler_stats().items():
+            emit(f"  {key}: {value}")
     elif command == ".batch":
         action = args[0] if args else "status"
         if action == "begin":

@@ -20,13 +20,12 @@ Four cooperating pieces:
   commit (inside the write latch); readers pin the current epoch *without
   touching the latch* and therefore never block on an in-flight writer.
   Epochs retire when their last reader unpins.
-* :mod:`repro.concurrency.migration` — the **lazy migration engine**.  By
-  default publish defers extent capture entirely: classes start *pending*
+* :mod:`repro.concurrency.migration` — the **lazy migration engine**.
+  Publish defers extent capture entirely: classes start *pending*
   and are captured on first touch, sealed just before a conflicting pool
   mutation, or drained by a background backfill worker in bounded batches
   — the writer-visible pause of a schema change stays sub-millisecond no
-  matter how large the extents are.  ``REPRO_EAGER_MIGRATION=1`` restores
-  the classic capture-at-publish path.
+  matter how large the extents are.  It is the only publish path.
 * :mod:`repro.concurrency.sessions` — the user-facing
   :class:`~repro.concurrency.sessions.SessionManager` /
   :class:`~repro.concurrency.sessions.ReaderSession` /

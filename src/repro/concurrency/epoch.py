@@ -12,14 +12,12 @@ queries against one committed moment of the database:
 * a CRC **checksum** over a canonical rendering of the schema-shaped part
   (generation, class names, view versions), computed at publish time.
 
-Extent membership is captured either **eagerly** at publish (the classic
-path, kept under ``REPRO_EAGER_MIGRATION``) or **lazily**: publish leaves
-every class *pending* and the
-:class:`~repro.concurrency.migration.MigrationEngine` captures each
-class's membership on first touch, from the background backfill, or —
-sealed pre-mutation — just before a pool change could move it.  Either
-way the captured value equals the publish-time extent; lazy capture only
-moves *when* the copy happens off the writer's critical path.
+Extent membership is captured **lazily**: publish leaves every class
+*pending* and the :class:`~repro.concurrency.migration.MigrationEngine`
+captures each class's membership on first touch, from the background
+backfill, or — sealed pre-mutation — just before a pool change could move
+it.  The captured value equals the publish-time extent; lazy capture only
+moves *when* the copy happens, off the writer's critical path.
 
 Readers pin the current epoch with one small mutex hold (pointer grab +
 refcount) — crucially *without* touching the schema latch, so a reader
@@ -75,10 +73,8 @@ class SchemaEpoch:
         schema_generation: int,
         class_names: FrozenSet[str],
         views: Mapping[str, object],
-        extents: Mapping[str, FrozenSet[Oid]],
-        pending: FrozenSet[str] = frozenset(),
-        engine=None,
-        ) -> None:
+        engine,
+    ) -> None:
         self.epoch_id = epoch_id
         self.schema_generation = schema_generation
         self.class_names = frozenset(class_names)
@@ -87,19 +83,14 @@ class SchemaEpoch:
         self.view_versions: Dict[str, int] = {
             name: schema.version for name, schema in self.views.items()
         }
-        self.extents: Dict[str, FrozenSet[Oid]] = {
-            name: frozenset(members) for name, members in extents.items()
-        }
+        #: class name -> captured membership, filled by the MigrationEngine
+        self.extents: Dict[str, FrozenSet[Oid]] = {}
         #: class name -> CRC of its captured extent (torn-capture guard)
-        self.extent_crcs: Dict[str, int] = {
-            name: self._extent_crc(members)
-            for name, members in self.extents.items()
-        }
-        #: classes published without captured membership (lazy migration);
-        #: shrinks to empty as the MigrationEngine captures them
-        self.pending: FrozenSet[str] = frozenset(pending)
-        #: the MigrationEngine to ask for first-touch captures (None for
-        #: eagerly captured epochs)
+        self.extent_crcs: Dict[str, int] = {}
+        #: classes without captured membership: every class at publish,
+        #: shrinking to empty as the MigrationEngine captures them
+        self.pending: FrozenSet[str] = self.class_names
+        #: the MigrationEngine to ask for first-touch captures
         self._engine = engine
         self.checksum = self._compute_checksum()
         self._pins = 0
@@ -204,7 +195,7 @@ class SchemaEpoch:
         """
         schema = self.view(view_name)
         global_name = schema.global_name_of(view_class)
-        if global_name in self.pending and self._engine is not None:
+        if global_name in self.pending:
             self._engine.capture_touch(self, global_name)
         return self.extents.get(global_name, frozenset())
 
@@ -227,14 +218,14 @@ class EpochManager:
     neither touches the latch.
     """
 
-    def __init__(self, db) -> None:
+    def __init__(self, db, migration) -> None:
         self._db = db
         self._mutex = threading.Lock()
         self._current: Optional[SchemaEpoch] = None
         self._next_id = 0
-        #: optional :class:`~repro.concurrency.migration.MigrationEngine`;
-        #: when set, publish defers extent capture to it (lazy migration)
-        self.migration = None
+        #: the :class:`~repro.concurrency.migration.MigrationEngine` that
+        #: publish hands every epoch's extent capture to
+        self.migration = migration
         # lifetime counters for the ``concurrency`` stats group
         self.published = 0
         self.retired = 0
@@ -250,25 +241,18 @@ class EpochManager:
         session layer wires this into the pipeline's commit), or from
         single-threaded setup code.
 
-        With a migration engine attached the publish is *lazy*: the epoch
-        starts with every class pending and no extent copies, so the cost
-        under the latch is O(#classes + #views) regardless of how many
-        objects exist.  The engine is handed the epoch **before** it
-        becomes current, so no reader can touch a pending class the
-        engine does not know about.
+        The publish is *lazy*: the epoch starts with every class pending
+        and no extent copies, so the cost under the latch is
+        O(#classes + #views) regardless of how many objects exist.  The
+        migration engine is handed the epoch **before** it becomes
+        current, so no reader can touch a pending class the engine does
+        not know about.
         """
         db = self._db
         views = {
             name: db.views.current(name) for name in db.views.history.view_names()
         }
         class_names = frozenset(db.schema.class_names())
-        engine = self.migration
-        if engine is None:
-            extents = {name: db.evaluator.extent(name) for name in class_names}
-            pending: FrozenSet[str] = frozenset()
-        else:
-            extents = {}
-            pending = class_names
         with self._mutex:
             self._next_id += 1
             epoch = SchemaEpoch(
@@ -276,12 +260,9 @@ class EpochManager:
                 schema_generation=db.schema.generation,
                 class_names=class_names,
                 views=views,
-                extents=extents,
-                pending=pending,
-                engine=engine,
+                engine=self.migration,
             )
-            if engine is not None:
-                engine.register(epoch)
+            self.migration.register(epoch)
             previous, self._current = self._current, epoch
             self.published += 1
             if previous is not None and previous._pins == 0:
@@ -293,8 +274,7 @@ class EpochManager:
         backlog (caller holds ``_mutex``)."""
         epoch._retired = True
         self.retired += 1
-        if self.migration is not None:
-            self.migration.deregister(epoch)
+        self.migration.deregister(epoch)
 
     # -- pinning -----------------------------------------------------------
 

@@ -1,8 +1,8 @@
 """Lazy schema migration: capture-on-touch epochs plus background backfill.
 
-Eager epoch publication recomputes every class extent while the writer
-still holds the schema latch, so the writer-visible pause of a schema
-change grows linearly with the population — exactly the outage "Online
+Capturing every class extent at publish, while the writer still holds
+the schema latch, would make the writer-visible pause of a schema
+change grow linearly with the population — exactly the outage "Online
 Schema Evolution is (Almost) Free for Snapshot Databases" (VLDB 2023)
 shows is avoidable in snapshot systems.  This module is the avoidance:
 
@@ -39,10 +39,11 @@ across the mutation body (released by :meth:`MigrationEngine.end_mutation`),
 which keeps a concurrent publish from registering a new pending epoch
 between the seal decision and the mutation landing.
 
-``REPRO_EAGER_MIGRATION=1`` restores the old eager publish path (no
-engine at all); ``REPRO_MIGRATION_BACKFILL=off`` keeps lazy capture but
-disables the background worker (tests drive :meth:`backfill_step`
-deterministically instead).
+Lazy capture is the only publish path; the from-scratch
+:class:`~repro.schema.extents.ExtentEvaluator` and the differential oracle
+are what its captures are checked against.  ``REPRO_MIGRATION_BACKFILL=off``
+keeps lazy capture but disables the background worker (tests drive
+:meth:`backfill_step` deterministically instead).
 """
 
 from __future__ import annotations

@@ -39,23 +39,6 @@ from repro.storage.oid import Oid
 
 __all__ = ["ReaderSession", "SessionManager", "WriterSession"]
 
-_TRUTHY = ("1", "true", "on", "yes")
-
-
-def _resolve_migration_mode(db, migration_mode: Optional[str]) -> str:
-    """``"lazy"`` (default) or ``"eager"`` — explicit argument first, then
-    a ``db.migration_mode`` attribute, then ``REPRO_EAGER_MIGRATION``."""
-    mode = migration_mode or getattr(db, "migration_mode", None)
-    if mode is None:
-        eager = os.environ.get("REPRO_EAGER_MIGRATION", "").strip().lower()
-        mode = "eager" if eager in _TRUTHY else "lazy"
-    if mode not in ("lazy", "eager"):
-        raise TseError(
-            f"unknown migration mode {mode!r} (expected 'lazy' or 'eager')"
-        )
-    return mode
-
-
 class ReaderSession:
     """A snapshot-isolated reader: every query answers from one pinned epoch.
 
@@ -181,47 +164,36 @@ class WriterSession:
 class SessionManager:
     """Owns the latch and epoch manager of one database; hands out sessions."""
 
-    def __init__(self, db, migration_mode: Optional[str] = None) -> None:
+    def __init__(self, db) -> None:
         self.db = db
         self.latch = SchemaLatch()
-        self.epochs = EpochManager(db)
         self.metrics = db.obs.metrics
         self.readers_opened = 0
         self.writers_opened = 0
         self._counter_mutex = threading.Lock()
-        # lazy (default) publishes epochs with pending extents and lets the
-        # MigrationEngine capture them off the writer's critical path;
-        # eager keeps the classic capture-at-publish behaviour
-        self.migration_mode = _resolve_migration_mode(db, migration_mode)
-        if self.migration_mode == "lazy":
-            # a db.migration_backfill attribute overrides the env toggle —
-            # the differential harness needs the worker off (deterministic
-            # drains only) without mutating process-global state
-            backfill = getattr(db, "migration_backfill", None)
-            if backfill is None:
-                backfill = (
-                    os.environ.get("REPRO_MIGRATION_BACKFILL", "").strip().lower()
-                    not in ("off", "0", "false", "no")
-                )
-            self.migration: Optional[MigrationEngine] = MigrationEngine(
-                db, self.latch, backfill=bool(backfill)
+        # epochs publish with pending extents and the MigrationEngine
+        # captures them off the writer's critical path.  A
+        # db.migration_backfill attribute overrides the env toggle — the
+        # differential harness needs the worker off (deterministic drains
+        # only) without mutating process-global state
+        backfill = getattr(db, "migration_backfill", None)
+        if backfill is None:
+            backfill = (
+                os.environ.get("REPRO_MIGRATION_BACKFILL", "").strip().lower()
+                not in ("off", "0", "false", "no")
             )
-            self.epochs.migration = self.migration
-            # the pre-mutation seal hook: pool leaf mutators consult the
-            # engine before changing membership or values
-            db.pool.migration = self.migration
-        else:
-            self.migration = None
+        self.migration = MigrationEngine(db, self.latch, backfill=bool(backfill))
+        self.epochs = EpochManager(db, self.migration)
+        # the pre-mutation seal hook: pool leaf mutators consult the
+        # engine before changing membership or values
+        db.pool.migration = self.migration
         # wire the pipeline: TseManager serialises behind the latch and
         # republishes an epoch at every commit, inside the write side
         db.tsem.latch = self.latch
         db.tsem.on_commit = self.epochs.publish
         self.epochs.publish()  # the baseline epoch readers start from
         db.obs.metrics.register_group("concurrency", self.stats_dict)
-        if self.migration is not None:
-            db.obs.metrics.register_group(
-                "migration", self.migration.stats_dict
-            )
+        db.obs.metrics.register_group("migration", self.migration.stats_dict)
 
     def reader(self) -> ReaderSession:
         """A new snapshot-isolated reader (use as a context manager)."""
@@ -242,7 +214,6 @@ class SessionManager:
         stats: Dict[str, object] = {
             "readers_opened": self.readers_opened,
             "writers_opened": self.writers_opened,
-            "migration_mode": self.migration_mode,
         }
         stats.update(self.latch.stats_dict())
         stats.update(self.epochs.stats_dict())

@@ -347,7 +347,6 @@ class TseDatabase:
         self,
         view_name: str,
         updates: Sequence[Mapping[str, object]],
-        batched: bool = True,
     ) -> List[Dict[str, object]]:
         """Apply generic updates phrased in *view vocabulary* as one batch.
 
@@ -443,7 +442,7 @@ class TseDatabase:
                         },
                     )
                 )
-        results = self.apply_many(specs, batched=batched)
+        results = self.apply_many(specs)
         reports: List[Dict[str, object]] = []
         for (op, _kwargs), outcome in zip(specs, results):
             if op == "create":
@@ -476,7 +475,7 @@ class TseDatabase:
         """
         from repro.schema.classes import VirtualClass
 
-        if self._sessions is not None and self._sessions.migration is not None:
+        if self._sessions is not None:
             # class removal would invalidate the live evaluator the pending
             # captures read through — drain every epoch backlog first so
             # old epochs keep their publish-time extents
@@ -531,16 +530,15 @@ class TseDatabase:
         ``{"mode", "backlog", "epochs", "backfill"}`` where ``backlog``
         counts class extents still pending capture across live epochs and
         ``epochs`` lists each migrating epoch with its watermark (fraction
-        of classes captured).  Databases without the session layer, or
-        running with ``REPRO_EAGER_MIGRATION``, report the quiescent eager
-        shape — publish captures everything up front, so the backlog is
-        zero by construction.  Also served over the wire as the server's
-        ``migration_status`` request.
+        of classes captured).  ``mode`` is always ``"lazy"``.  Databases
+        without the session layer have published no epoch, so they report
+        a zero backlog and no backfill worker.  Also served over the wire
+        as the server's ``migration_status`` request.
         """
-        if self._sessions is not None and self._sessions.migration is not None:
+        if self._sessions is not None:
             return self._sessions.migration.status()
         return {
-            "mode": "eager",
+            "mode": "lazy",
             "backlog": 0,
             "epochs": [],
             "backfill": {
@@ -621,7 +619,7 @@ class TseDatabase:
         return scope()
 
     def apply_many(
-        self, updates: Sequence[Tuple[str, Mapping[str, object]]], batched: bool = True
+        self, updates: Sequence[Tuple[str, Mapping[str, object]]]
     ) -> List[object]:
         """Apply a sequence of generic updates as one atomic batch.
 
@@ -644,10 +642,6 @@ class TseDatabase:
           and one barrier, instead of a record + flush per update;
         * failure anywhere rolls the whole batch back (savepoint restore)
           and re-raises — all-or-nothing, matching what recovery replays.
-
-        ``batched=False`` applies the updates one by one with per-update
-        journaling and no atomicity — the pre-batching behaviour, kept for
-        equivalence tests and the before/after benchmarks.
         """
         from contextlib import nullcontext
 
@@ -671,10 +665,6 @@ class TseDatabase:
                 )
             calls.append((fn, dict(kwargs)))
         results: List[object] = []
-        if not batched:
-            for fn, kwargs in calls:
-                results.append(fn(**kwargs))
-            return results
         latch = (
             self._sessions.latch.read() if self._sessions is not None else nullcontext()
         )

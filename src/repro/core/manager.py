@@ -361,6 +361,15 @@ class TseManager:
             renames.pop(removal, None)
         for addition in plan.additions:
             selected.add(effective.get(addition, addition))
+        # drop the property renames of view classes the successor no longer
+        # has (a removal, or a substitution that left the view) — a stale
+        # entry would make later merges resolve a class the view lacks
+        visible = {renames.get(name, name) for name in selected}
+        property_renames = {
+            cls: per_cls
+            for cls, per_cls in property_renames.items()
+            if cls in visible
+        }
 
         new_view = self.views.register_successor(
             view_name,

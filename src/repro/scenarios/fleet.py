@@ -11,9 +11,9 @@ an embedded :class:`~repro.checking.runner.DifferentialHarness`.
 
 Because resolution happens against the *oracle* (never the real system),
 the compiled command list is exactly as replayable as a fuzzer-generated
-one: ``run_commands(fleet.commands, migration_mode=...)`` re-runs the
-scenario from scratch under any epoch-capture discipline, and ddmin can
-shrink a diverging scenario into a corpus entry like any other failure.
+one: ``run_commands(fleet.commands)`` re-runs the scenario from scratch,
+and ddmin can shrink a diverging scenario into a corpus entry like any
+other failure.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Fleet:
     Use as a context manager (the embedded harness owns a throwaway WAL
     directory and any open reader sessions)::
 
-        with Fleet(migration_mode="lazy") as fleet:
+        with Fleet() as fleet:
             fleet.define_class("A", attrs=[("a0", False, 0)])
             fleet.create_view("V", ["A"])
             fleet.deploy(app=0, view="V")          # pin v1
@@ -43,14 +43,8 @@ class Fleet:
             commands = fleet.commands               # replayable anywhere
     """
 
-    def __init__(
-        self,
-        migration_mode: Optional[str] = None,
-        wal_dir=None,
-    ) -> None:
-        self._harness = DifferentialHarness(
-            wal_dir, migration_mode=migration_mode
-        )
+    def __init__(self, wal_dir=None) -> None:
+        self._harness = DifferentialHarness(wal_dir)
         #: every emitted command, in order — the scenario's replayable form
         self.commands: List[Command] = []
 

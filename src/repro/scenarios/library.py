@@ -5,7 +5,7 @@ deployment story through :class:`~repro.scenarios.fleet.Fleet` steps;
 ``scale`` stretches the story (more objects, more rounds) without
 changing its shape.  Compiling a scenario *is* checking it — every step
 replays lockstep against the reference oracle — and the compiled command
-list replays identically under lazy and eager migration.
+list replays identically through a fresh harness.
 
 The library covers the multi-version coexistence surface end to end:
 blue/green and canary rollouts, laggards writing through long-retired
@@ -16,7 +16,7 @@ epoch readers across lazy backfill, and crash/recovery mid-rollout.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from repro.checking.commands import Command
 from repro.scenarios.fleet import Fleet
@@ -98,8 +98,7 @@ def write_through_old_view_during_lazy_migration(
     fleet: Fleet, scale: int
 ) -> None:
     """Writes arrive through the pre-evolution pin while the lazy backfill
-    is still draining, interleaved step by step.  (Under eager capture the
-    backfill steps are agreed no-ops — same command list, same story.)"""
+    is still draining, interleaved step by step."""
     _seed_world(fleet, scale)
     fleet.deploy(app=0, view="Campus")
     fleet.reader_open(0)
@@ -261,19 +260,15 @@ def scenario_names() -> List[str]:
     return list(SCENARIOS)
 
 
-def build_scenario(
-    name: str,
-    migration_mode: Optional[str] = None,
-    scale: int = 1,
-) -> List[Command]:
+def build_scenario(name: str, scale: int = 1) -> List[Command]:
     """Compile one named scenario into its replayable command list.
 
     Compilation runs the scenario against a live differential harness, so
     a divergence raises :class:`~repro.checking.runner.Divergence` right
     here; the returned list replays via
-    :func:`repro.checking.runner.run_commands` under any migration mode.
+    :func:`repro.checking.runner.run_commands`.
     """
     story = SCENARIOS[name]
-    with Fleet(migration_mode=migration_mode) as fleet:
+    with Fleet() as fleet:
         story(fleet, scale)
         return list(fleet.commands)

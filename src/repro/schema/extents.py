@@ -298,15 +298,15 @@ class ExtentEvaluator:
         #: pre-resolved attribute read plans (shared by all select rechecks)
         self.plans = ReaderPlans(schema, pool)
         #: select class -> row matcher ``fn(oid) -> bool``, valid for one
-        #: (schema generation, compiler toggle epoch) pair
+        #: schema generation
         self._matchers: Dict[str, Callable[[Oid], bool]] = {}
-        self._matchers_key: Tuple[int, int] = (-1, -1)
+        self._matchers_key = -1
 
     def _matcher(self, class_name: str, predicate, source: str) -> Callable[[Oid], bool]:
         """The OID-level evaluator for one select class's predicate —
-        row-compiled when possible, reader-based interpreter otherwise;
-        cached because derivations are immutable per generation."""
-        key = (self.schema.generation, compilermod.compilation_epoch())
+        row-compiled when possible, reader-based otherwise; cached because
+        derivations are immutable per generation."""
+        key = self.schema.generation
         if key != self._matchers_key:
             self._matchers.clear()
             self._matchers_key = key

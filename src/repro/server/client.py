@@ -172,7 +172,7 @@ class Client:
 
     def migration_status(self) -> dict:
         """Lazy-migration progress: backlog, per-epoch watermarks,
-        backfill worker state (quiescent shape under eager mode)."""
+        backfill worker state."""
         return self.request(type="migration_status")["migration"]
 
     # -- writes ------------------------------------------------------------

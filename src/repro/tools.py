@@ -214,6 +214,9 @@ def exercise_for_metrics() -> TseDatabase:
     with tempfile.TemporaryDirectory() as scratch:
         db, _view = build_figure3_database()
         populate_students(db, 2)
+        # no backfill worker: its first WAL append would race the server
+        # start and reorder the registered families from run to run
+        db.migration_backfill = False
         db.enable_wal(scratch)
         with db.sessions().reader() as reader:
             reader.count("VS1", "Student")

@@ -35,6 +35,13 @@ def _observable(db: TseDatabase) -> dict:
     }
 
 
+def _one_by_one(db: TseDatabase, specs) -> list:
+    """Apply ``specs`` as a loop of single-update batches: one savepoint
+    and one WAL commit per update, and a failure leaves the applied prefix
+    in place."""
+    return [db.apply_many([spec])[0] for spec in specs]
+
+
 BATCH = [
     ("create", {"class_name": "Person", "assignments": {"name": "ada", "age": 36}}),
     ("create", {"class_name": "Student", "assignments": {"name": "alan", "gpa": 40}}),
@@ -51,13 +58,13 @@ class TestBatchSemantics:
         assert set(oids) == set(db.evaluator.extent("Person"))
 
     def test_batch_equals_one_by_one(self):
-        """The batched path and the legacy per-update path reach the same
-        observable state (modulo OID allocation, which is deterministic)."""
+        """One batch and a loop of single-update batches reach the same
+        observable state (OID allocation is deterministic)."""
         batched = _university()
         batched.apply_many(BATCH)
-        legacy = _university()
-        legacy.apply_many(BATCH, batched=False)
-        assert _observable(batched) == _observable(legacy)
+        single = _university()
+        _one_by_one(single, BATCH)
+        assert _observable(batched) == _observable(single)
 
     def test_mixed_ops_thread_through_the_engine(self):
         db = _university()
@@ -92,12 +99,10 @@ class TestAtomicity:
             db.apply_many(BATCH + [("create", {"class_name": "Nope"})])
         assert _observable(db) == before
         assert db.evaluator.extent("Person") == frozenset()
-        # the legacy path, by contrast, leaves the prefix applied
+        # single-update batches, by contrast, leave the prefix applied
         db2 = _university()
         with pytest.raises(UnknownClass):
-            db2.apply_many(
-                BATCH + [("create", {"class_name": "Nope"})], batched=False
-            )
+            _one_by_one(db2, BATCH + [("create", {"class_name": "Nope"})])
         assert len(db2.evaluator.extent("Person")) == 3
 
     def test_rollback_with_wal_attached_discards_the_group_commit(self, tmp_path):
@@ -115,13 +120,13 @@ class TestAtomicity:
 class TestWalReplay:
     def test_recovery_replays_a_batch_to_the_one_by_one_state(self, tmp_path):
         """One committed group-commit record recovers to exactly the state
-        that per-update journaling recovers to."""
+        that one commit per update recovers to."""
         grouped = _university()
         grouped.enable_wal(str(tmp_path / "grouped"))
         grouped.apply_many(BATCH)
         perop = _university()
         perop.enable_wal(str(tmp_path / "perop"))
-        perop.apply_many(BATCH, batched=False)
+        _one_by_one(perop, BATCH)
 
         r_grouped = TseDatabase.recover(str(tmp_path / "grouped"))
         r_perop = TseDatabase.recover(str(tmp_path / "perop"))
@@ -137,9 +142,9 @@ class TestWalReplay:
         db2 = _university()
         db2.enable_wal(str(tmp_path / "wal2"))
         before2 = db2.wal.lsn
-        db2.apply_many(BATCH, batched=False)
+        _one_by_one(db2, BATCH)
         assert grouped_records < db2.wal.lsn - before2, (
-            "group commit should write fewer records than per-update journaling"
+            "group commit should write fewer records than one commit per update"
         )
 
 

@@ -82,21 +82,18 @@ def test_corpus_is_nonempty():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("migration_mode", ["lazy", "eager"])
-def test_short_fuzz_sweep(forced_seed, migration_mode):
+def test_short_fuzz_sweep(forced_seed):
     """A quick seeded sweep; any divergence reports its replay seed.
 
-    Runs under both epoch-capture disciplines: lazy (pending extents drain
-    through ``backfill_step`` commands and reader first-touch) and eager
-    (capture-at-publish) — the observable surface must be identical."""
+    Pending epoch extents drain through ``backfill_step`` commands and
+    reader first-touch captures, so the sweep also checks that lazy
+    migration leaves the observable surface untouched."""
     seeds = [forced_seed] if forced_seed is not None else range(25)
     for seed in seeds:
-        commands, divergence = run_sequence(
-            seed, length=15, migration_mode=migration_mode
-        )
+        commands, divergence = run_sequence(seed, length=15)
         assert divergence is None, (
             f"seed {seed} diverged (replay with run_sequence({seed}, "
-            f"length=15, migration_mode={migration_mode!r})): {divergence}"
+            f"length=15)): {divergence}"
         )
 
 
@@ -230,26 +227,22 @@ def test_divergence_ships_replayable_dossier(monkeypatch, tmp_path):
 
 
 @pytest.mark.fuzz
-@pytest.mark.parametrize("migration_mode", ["lazy", "eager"])
-def test_deep_fuzz_sweep(migration_mode):
+def test_deep_fuzz_sweep():
     """Hundreds of random sequences; controlled by ``FUZZ_SEQUENCES``.
 
-    The whole sweep runs once per migration mode: every sequence that is
-    divergence-free under eager capture must also be divergence-free when
-    extents are captured lazily (``backfill_step`` commands interleaved)."""
+    Extents are captured lazily, with ``backfill_step`` commands
+    interleaved, so every sequence also checks that migration is
+    observably invisible."""
     n = int(os.environ.get("FUZZ_SEQUENCES", "500"))
     for seed in range(n):
-        commands, divergence = run_sequence(
-            seed, length=30, migration_mode=migration_mode
-        )
+        commands, divergence = run_sequence(seed, length=30)
         if divergence is not None:
             small, _ = minimize_commands(commands)
             serialized = json.dumps(
                 [command_to_dict(c) for c in small], indent=2
             )
             pytest.fail(
-                f"seed {seed} diverged under {migration_mode} migration: "
-                f"{divergence}\n"
+                f"seed {seed} diverged: {divergence}\n"
                 f"minimized repro ({len(small)} commands):\n{serialized}"
             )
 

@@ -101,3 +101,28 @@ class TestFigure16:
         students = sorted(c for c in merged.class_names() if "Student" in c)
         for cls in students:
             assert ("Person", cls) in edges
+
+
+def test_successor_drops_property_renames_of_removed_classes():
+    """A view version keeps no property renames for a view class it no
+    longer has.  Renaming a property of K4 and then dropping K4 with
+    ``delete_class_2`` used to leave ``{'K4': {'r14': 'a9'}}`` behind, and
+    the next merge resolved that stale key and raised ``UnknownClass``
+    (corpus entry ``merge-stale-property-rename``)."""
+    from repro.core.database import TseDatabase
+    from repro.schema.properties import Attribute
+
+    db = TseDatabase()
+    db.define_class("K1", [Attribute("a1", default=0)])
+    db.define_class("K3", [Attribute("a9", default=1)], inherits_from=("K1",))
+    db.define_class("K4", [Attribute("a10")], inherits_from=("K3",))
+    view = db.create_view("V", ["K1", "K3", "K4"], closure="ignore")
+    db.create_view("W", ["K1"], closure="ignore")
+    view.rename_property("K4", "a9", "r14")
+    assert db.views.current("V").property_renames == {"K4": {"r14": "a9"}}
+    view.delete_class_2("K4")
+    current = db.views.current("V")
+    assert current.class_names() == ["K1", "K3"]
+    assert current.property_renames == {}
+    merged = db.merge_views("V", "W", "M")
+    assert "K3" in merged.class_names()

@@ -5,9 +5,9 @@ epochs with *pending* extents and lets the
 :class:`~repro.concurrency.migration.MigrationEngine` capture them off the
 writer's critical path.  These tests pin its contract:
 
-* **Transparency** — lazy and eager modes answer every reader query
-  identically; a pinned epoch's extents are snapshots of publish time no
-  matter when (touch, seal, backfill) they were physically captured.
+* **Transparency** — a pinned epoch answers every reader query with the
+  extents a from-scratch evaluation gives at publish time, no matter when
+  (touch, seal, backfill) they were physically captured.
 * **Seal-before-mutation** — a pool mutation after publish can never leak
   into an epoch published before it.
 * **Drains** — explicit ``backfill_step`` batches are bounded and
@@ -33,16 +33,16 @@ import pytest
 
 from repro.core.database import TseDatabase
 from repro.core.manager import TseManager
-from repro.errors import EvolutionError, TseError
+from repro.errors import EvolutionError
+from repro.schema.extents import ExtentEvaluator
 from repro.schema.properties import Attribute
 from repro.storage.wal import LOG_NAME, CrashInjector, SimulatedCrash, WriteAheadLog
 
 from tests.test_wal import assert_equivalent
 
 
-def build_campus(mode: str = "lazy", backfill: bool = False) -> TseDatabase:
+def build_campus(backfill: bool = False) -> TseDatabase:
     db = TseDatabase()
-    db.migration_mode = mode
     db.migration_backfill = backfill
     db.define_class(
         "Person",
@@ -71,7 +71,7 @@ def wait_until(predicate, timeout: float = 5.0) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# transparency: lazy == eager for every reader observable
+# transparency: pinned reads == the publish-time extents
 # ---------------------------------------------------------------------------
 
 
@@ -80,33 +80,43 @@ class TestTransparency:
         db = build_campus()
         sessions = db.sessions()
         engine = sessions.migration
-        assert engine is not None
         before = engine.backlog()
         with sessions.writer() as w:
             w.view("campus").add_attribute("credits", to="Student", default=0)
-        assert engine.backlog() > before, "publish captured eagerly"
+        assert engine.backlog() > before, "publish captured extents up front"
 
-    def test_pinned_reads_match_eager_mode(self):
-        """Every reader observable agrees between the two capture
-        disciplines — the lazy engine only changes *when* extents are
-        snapshotted, never what they contain."""
-        results = {}
-        for mode in ("lazy", "eager"):
-            db = build_campus(mode=mode)
-            sessions = db.sessions()
+    def test_pinned_reads_match_a_from_scratch_evaluation(self):
+        """A pinned reader sees exactly the extents a from-scratch
+        :class:`ExtentEvaluator` computes right after publish — the lazy
+        engine only changes *when* extents are snapshotted, never what
+        they contain — even after later writes move the live extents."""
+        db = build_campus()
+        sessions = db.sessions()
+        with sessions.writer() as w:
+            w.view("campus").add_attribute("credits", to="Student", default=0)
+        view = db.views.current("campus")
+        scratch = ExtentEvaluator(db.schema, db.pool)
+        expected = {
+            cls: sorted(o.value for o in scratch.extent(view.global_name_of(cls)))
+            for cls in view.class_names()
+        }
+        with sessions.reader() as r:
+            assert r.epoch.pending, "the epoch must still be migrating"
             with sessions.writer() as w:
-                w.view("campus").add_attribute("credits", to="Student", default=0)
-            with sessions.reader() as r:
-                results[mode] = {
-                    "version": r.view_version("campus"),
-                    "classes": sorted(r.class_names("campus")),
-                    "extents": {
-                        cls: [o.value for o in r.extent_oids("campus", cls)]
-                        for cls in r.class_names("campus")
-                    },
-                    "verify": r.verify(),
-                }
-        assert results["lazy"] == results["eager"]
+                w.view("campus")["Student"].create(name="late", major="math")
+                w.view("campus")["Person"].create(name="later", age=50)
+            assert r.view_version("campus") == view.version
+            assert sorted(r.class_names("campus")) == sorted(expected)
+            pinned = {
+                cls: [o.value for o in r.extent_oids("campus", cls)]
+                for cls in r.class_names("campus")
+            }
+            assert r.verify()
+        assert pinned == expected
+        live = ExtentEvaluator(db.schema, db.pool)
+        assert len(live.extent(view.global_name_of("Person"))) == (
+            len(expected["Person"]) + 2
+        ), "the later writes must have moved the live extents"
 
     def test_seal_before_mutation_preserves_snapshot(self):
         """An object created *after* publish must not leak into the epoch:
@@ -206,23 +216,16 @@ class TestDrains:
         drained = db.migration_status()
         assert drained["backlog"] == 0 and drained["epochs"] == []
 
-    def test_eager_mode_has_quiescent_status(self, monkeypatch):
-        monkeypatch.setenv("REPRO_EAGER_MIGRATION", "1")
+    def test_status_without_session_layer_is_quiescent(self):
+        """Before the session layer attaches no epoch exists: the report
+        keeps its shape with a zero backlog and no worker."""
         db = TseDatabase()
         db.define_class("K", [Attribute("a", default=0)])
         db.create_view("V", ["K"])
-        sessions = db.sessions()
-        assert sessions.migration is None
         status = db.migration_status()
-        assert status["mode"] == "eager"
+        assert status["mode"] == "lazy"
         assert status["backlog"] == 0 and status["epochs"] == []
         assert status["backfill"]["worker_alive"] is False
-
-    def test_unknown_migration_mode_is_rejected(self):
-        db = TseDatabase()
-        db.migration_mode = "sideways"
-        with pytest.raises(TseError):
-            db.sessions()
 
 
 # ---------------------------------------------------------------------------
@@ -334,9 +337,8 @@ class TestDurability:
         r_sessions = recovered.sessions()
         with r_sessions.writer() as w:
             w.view("campus").add_attribute("units", to="Student", default=0)
-        if r_sessions.migration is not None:
-            r_sessions.migration.drain()
-            assert r_sessions.migration.backlog() == 0
+        r_sessions.migration.drain()
+        assert r_sessions.migration.backlog() == 0
 
 
 # ---------------------------------------------------------------------------

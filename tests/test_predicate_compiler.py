@@ -7,7 +7,8 @@ paths and readers that raise — the compiled form returns exactly what the
 with the same message.  Properties are asserted hypothesis-style over
 randomized ASTs, then pinned with directed cases for each lowering rule
 (comparator folding, ``IsIn`` interning, And/Or flattening, unknown-node
-fallback, the row form's pre-bound column readers, and the global toggle).
+fallback, the row form's pre-bound column readers, and whole select
+extents against an interpreted scan).
 """
 
 from __future__ import annotations
@@ -205,43 +206,29 @@ class TestLoweringRules:
         assert seen == [7], "fallback must evaluate through the per-object reader"
 
 
-class TestToggle:
-    def test_matcher_respects_runtime_toggle(self):
-        pred = Compare("age", ">=", 21)
-        was = compiler.compilation_enabled()
-        epoch = compiler.compilation_epoch()
-        try:
-            compiler.set_compilation(False)
-            assert compiler.matcher(pred) == pred.matches
-            assert compiler.compilation_epoch() != epoch
-            compiler.set_compilation(True)
-            assert compiler.matcher(pred) is compiler.compile_predicate(pred)
-        finally:
-            compiler.set_compilation(was)
-
-    def test_select_extents_identical_under_both_evaluators(self):
-        from repro.workloads.extent_maintenance import (
-            WORKLOAD_CLASSES,
-            build_select_workload,
-        )
-
-        was = compiler.compilation_enabled()
-        try:
-            compiler.set_compilation(True)
-            db_on, _ = build_select_workload(40)
-            on = {c: db_on.evaluator.extent(c) for c in WORKLOAD_CLASSES}
-            compiler.set_compilation(False)
-            db_off, _ = build_select_workload(40)
-            off = {c: db_off.evaluator.extent(c) for c in WORKLOAD_CLASSES}
-        finally:
-            compiler.set_compilation(was)
-        as_values = lambda extents: {
-            c: sorted(o.value for o in members) for c, members in extents.items()
-        }
-        assert as_values(on) == as_values(off)
-
-
-def test_predicate_compile_method_is_the_compiler():
+def test_matcher_is_the_cached_compiled_closure():
     pred = Compare("age", ">=", 21)
-    assert pred.compile()(lambda a: 30) is True
-    assert pred.compile() is compiler.compile_predicate(pred)
+    assert compiler.matcher(pred) is compiler.compile_predicate(pred)
+
+
+def test_select_extents_equal_an_interpreted_scan():
+    """The evaluators' row-compiled select matchers keep exactly the
+    members the interpreted ``matches`` keeps over the same source."""
+    from repro.schema.extents import ExtentEvaluator, attribute_reader
+    from repro.workloads.extent_maintenance import build_select_workload
+
+    db, _ = build_select_workload(40)
+    scratch = ExtentEvaluator(db.schema, db.pool)
+    for name in ("Adults", "Honors"):
+        derivation = db.schema[name].derivation
+        source = derivation.source
+        interpreted = frozenset(
+            oid
+            for oid in scratch.extent(source)
+            if derivation.predicate.matches(
+                attribute_reader(db.schema, db.pool, source, oid)
+            )
+        )
+        assert interpreted, f"{name} must select someone for the check to bite"
+        assert db.evaluator.extent(name) == interpreted
+        assert scratch.extent(name) == interpreted

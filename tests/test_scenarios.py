@@ -4,7 +4,7 @@ Four layers, mirroring the differential suite's structure:
 
 * **Tier-1 scenario smoke** — every named scenario compiles (compilation
   runs lockstep against the oracle) and its command list replays
-  divergence-free under BOTH migration modes at small scale.
+  divergence-free through a fresh harness at small scale.
 * **Scenario sweep** — ``@pytest.mark.scenario``: the same stories at
   larger scales for the scheduled CI lane (``SCENARIO_SCALES`` overrides).
 * **Mutation smoke** — plants a pinned-write propagation bug (the
@@ -12,8 +12,8 @@ Four layers, mirroring the differential suite's structure:
   scenarios catch it and that the failure ddmins into a corpus entry.
 * **Fleet builder units** — the name→blind-index compilation layer.
 
-``pytest --seed N`` replays a single deterministic (scenario, scale,
-mode) pick and prints its one-line repro, like the differential suite.
+``pytest --seed N`` replays a single deterministic (scenario, scale) pick
+and prints its one-line repro, like the differential suite.
 """
 
 from __future__ import annotations
@@ -40,15 +40,16 @@ ALL_SCENARIOS = scenario_names()
 
 @pytest.mark.parametrize("name", ALL_SCENARIOS)
 def test_scenario_compiles_and_replays_both_modes(name):
-    """Compile under lazy capture (itself a checked run), then replay the
-    exact command list under eager capture: the observable story must be
-    identical — migration is invisible."""
-    commands = build_scenario(name, migration_mode="lazy", scale=1)
+    """Both modes of running a story: compiling it through the fleet is
+    itself a checked run, and the exact command list it emits then
+    replays through a fresh harness — the plain-command form must tell
+    the same observable story."""
+    commands = build_scenario(name, scale=1)
     assert commands, f"scenario {name} compiled to nothing"
-    divergence = run_commands(commands, migration_mode="eager")
+    divergence = run_commands(commands)
     assert divergence is None, (
-        f"scenario {name} diverged under eager replay (repro: "
-        f"build_scenario({name!r}, scale=1)): {divergence}"
+        f"scenario {name} diverged on replay (repro: "
+        f"run_commands(build_scenario({name!r}, scale=1))): {divergence}"
     )
 
 
@@ -62,7 +63,7 @@ def test_scenario_library_covers_the_surface():
 def test_old_view_write_surfaces_in_merged_view():
     """The §7 acceptance story, asserted on content (not just lockstep):
     a write through a pre-divergence pin appears in the merged view."""
-    with Fleet(migration_mode="lazy") as fleet:
+    with Fleet() as fleet:
         SCENARIOS["merge_after_concurrent_definevc"](fleet, 1)
         hub = fleet.model.dump("Hub")
         students = hub["by_class"]["Student"]
@@ -78,38 +79,30 @@ def test_old_view_write_surfaces_in_merged_view():
 
 def _sweep_grid():
     scales = [int(s) for s in os.environ.get("SCENARIO_SCALES", "2,4").split(",")]
-    return [
-        (name, scale, mode)
-        for name in ALL_SCENARIOS
-        for scale in scales
-        for mode in ("lazy", "eager")
-    ]
+    return [(name, scale) for name in ALL_SCENARIOS for scale in scales]
 
 
-def _run_one(name: str, scale: int, mode: str) -> None:
-    commands = build_scenario(name, migration_mode=mode, scale=scale)
-    divergence = run_commands(commands, migration_mode=mode)
+def _run_one(name: str, scale: int) -> None:
+    commands = build_scenario(name, scale=scale)
+    divergence = run_commands(commands)
     assert divergence is None, (
-        f"scenario {name} scale={scale} diverged under {mode} (repro: "
-        f"run_commands(build_scenario({name!r}, migration_mode={mode!r}, "
-        f"scale={scale}), migration_mode={mode!r})): {divergence}"
+        f"scenario {name} scale={scale} diverged (repro: "
+        f"run_commands(build_scenario({name!r}, scale={scale}))): {divergence}"
     )
 
 
 @pytest.mark.scenario
 def test_scenario_sweep(forced_seed):
-    """Every scenario at every sweep scale, both modes.  With ``--seed N``
-    a single deterministic pick runs instead, printing its repro line."""
+    """Every scenario at every sweep scale.  With ``--seed N`` a single
+    deterministic pick runs instead, printing its repro line."""
     grid = _sweep_grid()
     if forced_seed is not None:
-        name, scale, mode = random.Random(forced_seed).choice(grid)
-        print(
-            f"seed {forced_seed} -> scenario={name} scale={scale} mode={mode}"
-        )
-        _run_one(name, scale, mode)
+        name, scale = random.Random(forced_seed).choice(grid)
+        print(f"seed {forced_seed} -> scenario={name} scale={scale}")
+        _run_one(name, scale)
         return
-    for name, scale, mode in grid:
-        _run_one(name, scale, mode)
+    for name, scale in grid:
+        _run_one(name, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +134,7 @@ def test_mutation_smoke_scenarios_catch_planted_bug(monkeypatch, tmp_path):
     found, divergence = None, None
     for name in ALL_SCENARIOS:
         try:
-            build_scenario(name, migration_mode="lazy", scale=1)
+            build_scenario(name, scale=1)
         except Divergence as exc:
             found, divergence = name, exc
             break
@@ -157,14 +150,14 @@ def test_mutation_smoke_scenarios_catch_planted_bug(monkeypatch, tmp_path):
     signature = divergence.signature()
 
     def fails(candidate):
-        probe = run_commands(candidate, migration_mode="lazy")
+        probe = run_commands(candidate)
         return probe is not None and probe.signature() == signature
 
     small, _ = minimize_commands(commands, fails=fails)
     assert len(small) <= 12, (
         f"ddmin left {len(small)} commands (> 12) for the planted bug"
     )
-    small_divergence = run_commands(small, migration_mode="lazy")
+    small_divergence = run_commands(small)
     assert small_divergence is not None
     assert small_divergence.signature() == signature
 
@@ -180,7 +173,7 @@ def test_mutation_smoke_scenarios_catch_planted_bug(monkeypatch, tmp_path):
 
     # without the bug the minimized sequence replays clean
     monkeypatch.undo()
-    assert run_commands(small, migration_mode="lazy") is None, (
+    assert run_commands(small) is None, (
         "minimized scenario still diverges after removing the planted "
         "bug — it shrank onto an unrelated (real) failure"
     )
@@ -189,7 +182,7 @@ def test_mutation_smoke_scenarios_catch_planted_bug(monkeypatch, tmp_path):
 def build_commands_up_to_divergence(name):
     """The command list a diverging compile emitted (the embedded harness
     raised mid-story, so ``build_scenario`` never returned it)."""
-    fleet = Fleet(migration_mode="lazy")
+    fleet = Fleet()
     try:
         SCENARIOS[name](fleet, 1)
     except Divergence:
@@ -261,4 +254,4 @@ class TestFleetBuilder:
             command_from_dict(command_to_dict(c)) for c in commands
         ]
         assert round_tripped == commands
-        assert run_commands(round_tripped, migration_mode="eager") is None
+        assert run_commands(round_tripped) is None

@@ -375,7 +375,7 @@ class TestDataPlane:
         """The report works from hello on (no attach) and carries the
         documented shape; after a schema change it reflects the drain."""
         status = client.migration_status()
-        assert status["mode"] in ("lazy", "eager")
+        assert status["mode"] == "lazy"
         assert set(status) == {"mode", "backlog", "epochs", "backfill"}
         assert set(status["backfill"]) == {
             "enabled", "worker_alive", "batch_limit", "steps",

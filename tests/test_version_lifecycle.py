@@ -202,7 +202,6 @@ class TestPinnedReaderAcrossMerge:
         """V1 evolves while a reader and a pinned writer stay on v1, then
         V1 and V2 merge — the fleet-scenario core in miniature."""
         db = TseDatabase()
-        db.migration_mode = "lazy"
         db.define_class("A", properties=(_int_attr("a0"),))
         db.define_class("B", inherits_from=("A",))
         db.create_view("V1", ["A", "B"], closure="ignore")
