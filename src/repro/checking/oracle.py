@@ -918,6 +918,10 @@ class RefModel:
         (``renames[primed] = visible_name`` in the manager).  Mirror: the
         replaced name adopts the twin's token (the dedup survivor keeps its
         identity, ancestry, and extent) and the twin's name vanishes.
+
+        Naming rule (DESIGN §3): names are visited in sorted order, so when
+        several replaced names collapse into one class the smallest
+        survives; a twin that was not replaced always loses its name.
         """
         if not state.merged:
             return

@@ -76,6 +76,7 @@ from typing import Callable, Iterable, List, Optional
 from repro.errors import TseError
 from repro.algebra import compiler as compilermod
 from repro.core.database import TseDatabase
+from repro.core.explain import PRIMITIVE_OPS
 from repro.lang.interpreter import Interpreter
 from repro.lang.parser import UpdateCmd, parse_command
 from repro.persistence import load_database, save_database
@@ -205,10 +206,10 @@ def _meta_command(
                 emit("error: .explain takes a schema-change statement "
                      "(e.g. add_attribute x : str to Student)")
             else:
-                try:
-                    operation, explain_args = _explain_args(parsed)
-                except TseError as exc:
-                    emit(f"error: {exc}")
+                operation, explain_args = parsed.handle_call()
+                if operation not in PRIMITIVE_OPS:
+                    emit(f"error: {operation} is a composite operation; "
+                         ".explain covers the eight primitives")
                     return True
                 report = db.explain(state["view"], operation, **explain_args)
                 for out_line in report.render_lines():
@@ -351,8 +352,9 @@ def _meta_command(
                 emit("no batch in progress (use .batch begin)")
             else:
                 state["batch"] = None
-                specs = _batch_specs(db, state["view"], pending)
-                results = db.apply_many(specs)
+                results = db.apply_view_updates(
+                    state["view"], [_view_update(cmd) for cmd in pending]
+                )
                 state["executed"] += len(results)
                 emit(f"batch committed: {len(results)} update(s) applied atomically")
         elif action == "abort":
@@ -373,37 +375,6 @@ def _meta_command(
     else:
         emit(f"unknown meta-command {command!r} (try .help)")
     return True
-
-
-def _explain_args(cmd) -> tuple:
-    """Map a parsed ``SchemaChangeCmd`` onto ``TseDatabase.explain`` kwargs,
-    mirroring the interpreter's dispatch of the same statement."""
-    op = cmd.op
-    if op == "add_attribute":
-        name, target = cmd.args
-        return op, {"name": name, "to": target, "domain": cmd.domain or "any"}
-    if op == "delete_attribute":
-        name, target = cmd.args
-        return op, {"name": name, "from_": target}
-    if op == "add_method":
-        name, target = cmd.args
-        return op, {"name": name, "to": target, "body": None}
-    if op == "delete_method":
-        name, target = cmd.args
-        return op, {"name": name, "from_": target}
-    if op == "add_edge":
-        sup, sub = cmd.args
-        return op, {"sup": sup, "sub": sub}
-    if op == "delete_edge":
-        sup, sub = cmd.args
-        return op, {"sup": sup, "sub": sub, "connected_to": cmd.connected_to}
-    if op == "add_class":
-        return op, {"name": cmd.args[0], "connected_to": cmd.connected_to}
-    if op == "delete_class":
-        return op, {"name": cmd.args[0]}
-    raise TseError(
-        f"{op} is a composite operation; .explain covers the eight primitives"
-    )
 
 
 def _histogram_children(entry) -> List[tuple]:
@@ -468,79 +439,17 @@ def _render_top(db: TseDatabase) -> List[str]:
     return lines
 
 
-def _batch_specs(
-    db: TseDatabase, view_name: str, commands: List[UpdateCmd]
-) -> List[tuple]:
-    """Translate collected update statements into ``apply_many`` specs.
-
-    Set-expressions (extents and ``select`` predicates) are resolved here,
-    at commit time, against the current state — the batch reads one
-    snapshot and then writes atomically, deferred-update style.  Alias
-    translation mirrors the interpreter's per-statement paths.
-    """
-    view = db.view(view_name)
-    schema = view.schema
-
-    def targets_of(cls_handle, predicate):
-        handles = (
-            cls_handle.extent()
-            if predicate is None
-            else cls_handle.select_where(predicate)
-        )
-        return [h.oid for h in handles]
-
-    specs: List[tuple] = []
-    for cmd in commands:
-        if cmd.op == "create":
-            cls = view[cmd.target]
-            specs.append((
-                "create",
-                {
-                    "class_name": cls.global_name,
-                    "assignments": {
-                        schema.visible_property(cmd.target, name): value
-                        for name, value in cmd.assigns
-                    },
-                },
-            ))
-        elif cmd.op == "set":
-            cls = view[cmd.target]
-            specs.append((
-                "set",
-                {
-                    "oids": targets_of(cls, cmd.predicate),
-                    "class_name": cls.global_name,
-                    "assignments": {
-                        schema.visible_property(cmd.target, name): value
-                        for name, value in cmd.assigns
-                    },
-                },
-            ))
-        elif cmd.op == "delete":
-            specs.append(
-                ("delete", {"oids": targets_of(view[cmd.target], cmd.predicate)})
-            )
-        elif cmd.op == "add":
-            source_cls = view[cmd.source]
-            specs.append((
-                "add",
-                {
-                    "oids": targets_of(source_cls, cmd.predicate),
-                    "class_name": view[cmd.target].global_name,
-                },
-            ))
-        elif cmd.op == "remove":
-            cls = view[cmd.target]
-            specs.append((
-                "remove",
-                {
-                    "oids": targets_of(cls, cmd.predicate),
-                    "class_name": cls.global_name,
-                },
-            ))
-        else:  # pragma: no cover - parser only yields the five ops
-            raise TseError(f"unknown batch update {cmd.op!r}")
-    return specs
+def _view_update(cmd: UpdateCmd) -> dict:
+    """One collected update statement as a
+    :meth:`TseDatabase.apply_view_updates` spec.  The facade resolves
+    aliases and ``where``/extent targets at commit time, against the
+    pre-batch state."""
+    spec = {"op": cmd.op, "class": cmd.target, "values": dict(cmd.assigns)}
+    if cmd.source is not None:
+        spec["from"] = cmd.source
+    if cmd.predicate is not None:
+        spec["where"] = cmd.predicate.to_dict()
+    return spec
 
 
 def run_shell(

@@ -34,8 +34,8 @@ Four cooperating pieces:
 
 The package composes with the thread-safety work in ``storage`` and
 ``obs``: WAL appends serialise behind a dedicated lock with group-commit
-fsync batching, OID allocation and the transaction lock table are atomic,
-and metrics/tracing instruments are individually locked.
+fsync batching, OID allocation is atomic, and metrics/tracing instruments
+are individually locked.
 """
 
 from repro.concurrency.epoch import EpochManager, SchemaEpoch

@@ -33,7 +33,6 @@ from repro.schema.extents import IncrementalExtentEvaluator
 from repro.schema.graph import GlobalSchema
 from repro.schema.properties import Attribute, Method, Property
 from repro.storage.store import ObjectStore
-from repro.storage.transactions import TransactionManager
 from repro.views.manager import ViewManager
 from repro.views.schema import ViewSchema
 
@@ -51,7 +50,6 @@ class TseDatabase:
         self.obs = Observability()
         tracer = self.obs.tracer
         self.store = ObjectStore(slots_per_page=slots_per_page, cache_pages=cache_pages)
-        self.transactions = TransactionManager(self.store, tracer=tracer)
         self.pool = InstancePool(self.store)
         self.indexes = IndexManager(self.pool)
         self.schema = GlobalSchema()
@@ -78,6 +76,9 @@ class TseDatabase:
         #: ``None`` until :meth:`sessions` creates it — single-threaded use
         #: pays nothing for it
         self._sessions = None
+        #: outcome counters of :meth:`transaction` savepoints
+        self.commits = 0
+        self.aborts = 0
         self._register_metrics()
         # crash dossiers carry the live schema/view state at dump time
         self.obs.flight.add_state("schema_generation", lambda: self.schema.generation)
@@ -356,8 +357,8 @@ class TseDatabase:
         ``delete`` / ``add`` (with optional ``"from"`` source class) /
         ``remove``.  ``where`` predicates use the JSON form of
         :func:`repro.algebra.expressions.predicate_from_dict` and are
-        resolved against the pre-batch state, exactly like the shell's
-        ``.batch commit``.  Property and class names go through the view's
+        resolved against the pre-batch state; the shell's ``.batch commit``
+        runs through here.  Property and class names go through the view's
         rename maps.  Returns one plain-data report per update (``{"oid"}``
         for create, ``{"count"}`` otherwise); the batch is all-or-nothing
         via :meth:`apply_many`.
@@ -606,7 +607,7 @@ class TseDatabase:
                 if self.wal is not None:
                     # abort is a no-op on disk: buffered records are dropped
                     self.wal.abort_savepoint()
-                self.transactions.aborts += 1
+                self.aborts += 1
                 raise
             with tracer.span("commit", scope="savepoint"):
                 # savepoint release: the WAL buffer (records journaled by
@@ -614,7 +615,7 @@ class TseDatabase:
                 # closes the all-or-nothing unit of work
                 if self.wal is not None:
                     self.wal.commit_savepoint()
-            self.transactions.commits += 1
+            self.commits += 1
 
         return scope()
 
@@ -873,7 +874,10 @@ class TseDatabase:
         # swaps ``db.store`` (and may swap other components) after __init__
         metrics.register_group("pages", lambda: self.store.stats.as_dict())
         metrics.register_group("extents", lambda: self.evaluator.stats.as_dict())
-        metrics.register_group("transactions", lambda: self.transactions.stats_dict())
+        metrics.register_group(
+            "transactions",
+            lambda: {"committed": self.commits, "aborted": self.aborts},
+        )
         metrics.register_group("pipeline", self._pipeline_stats)
         # pre-register pipeline counters so the snapshot shape is stable
         # from the first read, not from the first schema change
@@ -905,7 +909,8 @@ class TseDatabase:
         benchmarks can measure phases in isolation."""
         self.evaluator.stats.reset()
         self.store.reset_stats()
-        self.transactions.reset_stats()
+        self.commits = 0
+        self.aborts = 0
         self.obs.metrics.reset()
         self.obs.tracer.clear()
 

@@ -23,11 +23,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List
 
 from repro.errors import TseError
 from repro.schema.properties import Attribute, Method
-from repro.views.schema import ViewSchema
 
 __all__ = ["ExplainReport", "explain_change", "PRIMITIVE_OPS"]
 
@@ -127,46 +126,28 @@ class ExplainReport:
         return lines
 
 
-def _plan_builder(
-    translator, operation: str, args: Dict[str, object]
-) -> Callable[[ViewSchema], object]:
-    """The same translator invocation the real pipeline would make."""
+def _translator_args(operation: str, args: Dict[str, object]) -> Dict[str, object]:
+    """The keyword arguments the real pipeline passes to the translator
+    method named ``operation``: the handle's arguments, with the property
+    definition built for the two ``add_*`` operators."""
+    if operation not in PRIMITIVE_OPS:
+        raise TseError(
+            f"unknown operation {operation!r}; expected one of "
+            f"{', '.join(PRIMITIVE_OPS)}"
+        )
+    args = dict(args)
     if operation == "add_attribute":
-        prop = Attribute(
-            name=args["name"],
-            domain=args.get("domain", "any"),
-            required=args.get("required", False),
-            default=args.get("default"),
+        args["prop"] = Attribute(
+            name=args.pop("name"),
+            domain=args.pop("domain", "any"),
+            required=args.pop("required", False),
+            default=args.pop("default", None),
         )
-        return lambda view: translator.add_attribute(view, prop, args["to"])
-    if operation == "delete_attribute":
-        return lambda view: translator.delete_attribute(
-            view, args["name"], args["from_"]
+    elif operation == "add_method":
+        args["prop"] = Method(
+            name=args.pop("name"), body=args.pop("body", None), doc=args.pop("doc", "")
         )
-    if operation == "add_method":
-        prop = Method(
-            name=args["name"], body=args.get("body"), doc=args.get("doc", "")
-        )
-        return lambda view: translator.add_method(view, prop, args["to"])
-    if operation == "delete_method":
-        return lambda view: translator.delete_method(
-            view, args["name"], args["from_"]
-        )
-    if operation == "add_edge":
-        return lambda view: translator.add_edge(view, args["sup"], args["sub"])
-    if operation == "delete_edge":
-        return lambda view: translator.delete_edge(
-            view, args["sup"], args["sub"], args.get("connected_to")
-        )
-    if operation == "add_class":
-        return lambda view: translator.add_class(
-            view, args["name"], args.get("connected_to")
-        )
-    if operation == "delete_class":
-        return lambda view: translator.delete_class(view, args["name"])
-    raise TseError(
-        f"unknown operation {operation!r}; expected one of {', '.join(PRIMITIVE_OPS)}"
-    )
+    return args
 
 
 def explain_change(db, view_name: str, operation: str, **args) -> ExplainReport:
@@ -191,7 +172,8 @@ def _explain_locked(
 
     # (1) translate — pure: produces the plan without touching the schema
     start = time.perf_counter()
-    plan = _plan_builder(tsem.translator, operation, args)(view)
+    translator_args = _translator_args(operation, args)
+    plan = getattr(tsem.translator, operation)(view, **translator_args)
     phase_ms["translate"] = (time.perf_counter() - start) * 1000.0
 
     # (2) analyze — current extents of every class the plan touches, and

@@ -100,44 +100,19 @@ class TseManager:
     # ------------------------------------------------------------------
 
     def add_attribute(self, view_name: str, prop: Attribute, to: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "add_attribute",
-            lambda view: self.translator.add_attribute(view, prop, to),
-            journal_args={"prop": prop, "to": to},
-        )
+        return self._change(view_name, "add_attribute", prop=prop, to=to)
 
     def delete_attribute(self, view_name: str, name: str, from_: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "delete_attribute",
-            lambda view: self.translator.delete_attribute(view, name, from_),
-            journal_args={"name": name, "from_": from_},
-        )
+        return self._change(view_name, "delete_attribute", name=name, from_=from_)
 
     def add_method(self, view_name: str, prop: Method, to: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "add_method",
-            lambda view: self.translator.add_method(view, prop, to),
-            journal_args={"prop": prop, "to": to},
-        )
+        return self._change(view_name, "add_method", prop=prop, to=to)
 
     def delete_method(self, view_name: str, name: str, from_: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "delete_method",
-            lambda view: self.translator.delete_method(view, name, from_),
-            journal_args={"name": name, "from_": from_},
-        )
+        return self._change(view_name, "delete_method", name=name, from_=from_)
 
     def add_edge(self, view_name: str, sup: str, sub: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "add_edge",
-            lambda view: self.translator.add_edge(view, sup, sub),
-            journal_args={"sup": sup, "sub": sub},
-        )
+        return self._change(view_name, "add_edge", sup=sup, sub=sub)
 
     def delete_edge(
         self,
@@ -147,65 +122,44 @@ class TseManager:
         connected_to: Optional[str] = None,
     ) -> ViewSchema:
         return self._change(
-            view_name,
-            "delete_edge",
-            lambda view: self.translator.delete_edge(view, sup, sub, connected_to),
-            journal_args={"sup": sup, "sub": sub, "connected_to": connected_to},
+            view_name, "delete_edge", sup=sup, sub=sub, connected_to=connected_to
         )
 
     def add_class(
         self, view_name: str, name: str, connected_to: Optional[str] = None
     ) -> ViewSchema:
         return self._change(
-            view_name,
-            "add_class",
-            lambda view: self.translator.add_class(view, name, connected_to),
-            journal_args={"name": name, "connected_to": connected_to},
+            view_name, "add_class", name=name, connected_to=connected_to
         )
 
     def delete_class(self, view_name: str, name: str) -> ViewSchema:
-        return self._change(
-            view_name,
-            "delete_class",
-            lambda view: self.translator.delete_class(view, name),
-            journal_args={"name": name},
-        )
+        return self._change(view_name, "delete_class", name=name)
 
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
 
-    def _change(
-        self,
-        view_name: str,
-        operation: str,
-        plan_for,
-        journal_args: Optional[Dict[str, object]] = None,
-    ) -> ViewSchema:
+    def _change(self, view_name: str, operation: str, **args) -> ViewSchema:
         """One full schema-change pipeline: translate, then run the plan.
 
-        The root ``schema_change`` span covers every stage; the lifecycle
-        event bus publishes each milestone so external probes never need to
-        patch pipeline internals.  ``journal_args`` is the replayable
-        argument record the WAL persists on commit — the *request*, not the
-        resulting script, because replay re-runs the whole pipeline and the
-        classifier re-derives identical primed classes.
+        ``args`` are the keyword arguments of the :class:`TseTranslator`
+        method named ``operation``.  They are also the replayable record
+        the WAL persists on commit — the *request*, not the resulting
+        script, because replay re-runs the whole pipeline and the
+        classifier re-derives identical primed classes.  The root
+        ``schema_change`` span covers every stage; the lifecycle event bus
+        publishes each milestone so external probes never need to patch
+        pipeline internals.
         """
         if self.latch is not None:
             # single-writer admission: pipelines from concurrent sessions
             # queue FIFO; re-entrant, so a WriterSession block nests freely
             with self.latch.write():
-                return self._change_locked(
-                    view_name, operation, plan_for, journal_args
-                )
-        return self._change_locked(view_name, operation, plan_for, journal_args)
+                return self._change_locked(view_name, operation, args)
+        return self._change_locked(view_name, operation, args)
 
     def _change_locked(
-        self,
-        view_name: str,
-        operation: str,
-        plan_for,
-        journal_args: Optional[Dict[str, object]] = None,
+        self, view_name: str, operation: str, args: Dict[str, object]
     ) -> ViewSchema:
         view = self.views.current(view_name)
         # per-operation-kind latency: one labelled series per primitive op,
@@ -222,7 +176,7 @@ class TseManager:
                 self.journal.schema_begin(view_name, operation)
             try:
                 with self.tracer.span("translate", operation=operation) as span:
-                    plan = plan_for(view)
+                    plan = getattr(self.translator, operation)(view, **args)
                     span.set(statements=len(plan.statements))
                 self.events.emit(
                     "translated",
@@ -254,7 +208,7 @@ class TseManager:
             )
             self.metrics.counter("schema_changes_applied").inc()
             if self.journal is not None:
-                self.journal.schema_commit(view_name, operation, journal_args or {})
+                self.journal.schema_commit(view_name, operation, args)
             if self.on_commit is not None:
                 # publish-on-commit: still inside the write latch, so the
                 # epoch captures a committed-whole schema
@@ -346,6 +300,8 @@ class TseManager:
         property_renames = {
             cls: dict(per_cls) for cls, per_cls in view.property_renames.items()
         }
+        #: visible name each primed class got from a replacement
+        claimed: Dict[str, str] = {}
         for old_global, stmt_name in plan.replacements.items():
             primed = effective.get(stmt_name, stmt_name)
             if primed == old_global:
@@ -353,6 +309,11 @@ class TseManager:
             visible_name = renames.pop(old_global, old_global)
             selected.discard(old_global)
             selected.add(primed)
+            # in a merged view two replaced classes can deduplicate into
+            # one class; the smallest visible name survives (DESIGN §3)
+            if primed in claimed:
+                visible_name = min(visible_name, claimed[primed])
+            claimed[primed] = visible_name
             renames[primed] = visible_name
             # property_renames are keyed by *view* class name, which the
             # substitution keeps stable — nothing to rekey.

@@ -36,18 +36,6 @@ class RecoveryError(StorageError):
     recorded — e.g. an OID mismatch)."""
 
 
-class TransactionError(StorageError):
-    """Base class for transaction failures."""
-
-
-class TransactionStateError(TransactionError):
-    """Operation issued against a transaction in the wrong state."""
-
-
-class LockConflict(TransactionError):
-    """A lock request conflicts with a lock held by another transaction."""
-
-
 # ---------------------------------------------------------------------------
 # Object model
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from repro.errors import ParseError, UnknownClass
 from repro.algebra.define import DefineStatement
 from repro.core.database import TseDatabase
 from repro.core.handles import ObjectHandle, ViewHandle
-from repro.core.macros import delete_class_2, insert_class
 from repro.lang.parser import (
     Command,
     DefineVcCmd,
@@ -90,34 +89,8 @@ class Interpreter:
 
     def _schema_change(self, cmd: SchemaChangeCmd) -> CommandResult:
         view = self.view
-        if cmd.op == "add_attribute":
-            name, target = cmd.args
-            view.add_attribute(name, to=target, domain=cmd.domain or "any")
-        elif cmd.op == "delete_attribute":
-            name, target = cmd.args
-            view.delete_attribute(name, from_=target)
-        elif cmd.op == "add_method":
-            name, target = cmd.args
-            view.add_method(name, to=target, body=None)
-        elif cmd.op == "delete_method":
-            name, target = cmd.args
-            view.delete_method(name, from_=target)
-        elif cmd.op == "add_edge":
-            view.add_edge(*cmd.args)
-        elif cmd.op == "delete_edge":
-            sup, sub = cmd.args
-            view.delete_edge(sup, sub, connected_to=cmd.connected_to)
-        elif cmd.op == "add_class":
-            view.add_class(cmd.args[0], connected_to=cmd.connected_to)
-        elif cmd.op == "delete_class":
-            view.delete_class(cmd.args[0])
-        elif cmd.op == "insert_class":
-            name, sup, sub = cmd.args
-            insert_class(self.db.tsem, self.view_name, name, (sup, sub))
-        elif cmd.op == "delete_class_2":
-            delete_class_2(self.db.tsem, self.view_name, cmd.args[0])
-        else:  # pragma: no cover - parser restricts ops
-            raise ParseError(f"unknown schema change {cmd.op!r}")
+        operation, kwargs = cmd.handle_call()
+        getattr(view, operation)(**kwargs)
         return CommandResult(
             cmd, "schema_change", detail=f"{self.view_name} -> v{view.version}"
         )

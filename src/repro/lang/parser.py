@@ -40,7 +40,7 @@ emits a neutral AST; the interpreter decides.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.errors import ParseError
 from repro.algebra.expressions import (
@@ -59,12 +59,42 @@ from repro.lang.lexer import Token, tokenize
 # AST
 # ---------------------------------------------------------------------------
 
+#: ViewHandle keyword name of each positional operand, per statement
+_OPERANDS = {
+    "add_attribute": ("name", "to"),
+    "delete_attribute": ("name", "from_"),
+    "add_method": ("name", "to"),
+    "delete_method": ("name", "from_"),
+    "add_edge": ("sup", "sub"),
+    "delete_edge": ("sup", "sub"),
+    "add_class": ("name",),
+    "delete_class": ("name",),
+    "insert_class": ("name", "sup", "sub"),
+    "delete_class_2": ("name",),
+}
+
+
 @dataclass(frozen=True)
 class SchemaChangeCmd:
     op: str
     args: Tuple[str, ...]
     domain: Optional[str] = None
     connected_to: Optional[str] = None
+
+    def handle_call(self) -> Tuple[str, Dict[str, object]]:
+        """The :class:`~repro.core.handles.ViewHandle` method this statement
+        names and its keyword arguments: what the interpreter runs and the
+        shell's ``.explain`` dry-runs."""
+        kwargs: Dict[str, object] = dict(zip(_OPERANDS[self.op], self.args))
+        if self.op == "add_attribute":
+            kwargs["domain"] = self.domain or "any"
+        elif self.op == "add_method":
+            kwargs["body"] = None
+        elif self.op in ("delete_edge", "add_class"):
+            kwargs["connected_to"] = self.connected_to
+        elif self.op == "insert_class":
+            kwargs["between"] = (kwargs.pop("sup"), kwargs.pop("sub"))
+        return self.op, kwargs
 
 
 @dataclass(frozen=True)

@@ -228,7 +228,6 @@ def database_from_dict(
         )
     db = TseDatabase()
     db.store = ObjectStore.from_snapshot(data["store"])
-    db.transactions.store = db.store
     db.pool.store = db.store
 
     # classes arrive supers-before-subs (topological order at save time)

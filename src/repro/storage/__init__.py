@@ -1,7 +1,9 @@
 """Storage substrate: the GemStone stand-in.
 
 Provides OID allocation, page-simulated slice storage with I/O accounting,
-and transactions.  See ``DESIGN.md`` section 5 for the substitution rationale.
+store snapshots, and the write-ahead log.  Atomicity is the database-level
+savepoint (``TseDatabase.transaction``), not a storage-level transaction.
+See ``DESIGN.md`` section 5 for the substitution rationale.
 """
 
 from repro.storage.oid import OID_SIZE_BYTES, POINTER_SIZE_BYTES, Oid, OidAllocator
@@ -13,12 +15,6 @@ from repro.storage.pages import (
     PageStats,
 )
 from repro.storage.store import ObjectStore
-from repro.storage.transactions import (
-    LockMode,
-    Transaction,
-    TransactionManager,
-    TxStatus,
-)
 from repro.storage.wal import (
     CrashInjector,
     SimulatedCrash,
@@ -38,10 +34,6 @@ __all__ = [
     "PageManager",
     "PageStats",
     "ObjectStore",
-    "LockMode",
-    "Transaction",
-    "TransactionManager",
-    "TxStatus",
     "CrashInjector",
     "SimulatedCrash",
     "WalManager",

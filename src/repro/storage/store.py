@@ -8,7 +8,8 @@ from its platform exactly four things, all provided here:
   that the object-slicing architecture attaches to a conceptual object;
 * **clustering** of same-class slices onto shared pages, with page-level
   access accounting so Table 1's cost model can be measured;
-* **snapshot persistence** so a database can be saved and reloaded.
+* **snapshots** of every live slice, from which savepoints, checkpoints and
+  ``repro.persistence`` save and reload a database.
 
 The store knows nothing about schemas or views; it stores flat slotted
 payloads keyed by slice id — attribute names are interned once per cluster
@@ -20,10 +21,8 @@ by interned position.  The external interface still speaks dictionaries
 
 from __future__ import annotations
 
-import json
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import SliceNotFound, StorageError
@@ -340,7 +339,7 @@ class ObjectStore:
         """Restore the store *in place* from :meth:`snapshot` output.
 
         In-place restoration keeps every component that holds a reference to
-        this store (pool, transactions, indexes) valid — the foundation of
+        this store (pool, indexes) valid — the foundation of
         database-level savepoints.
         """
         fresh = ObjectStore.from_snapshot(state)
@@ -352,15 +351,6 @@ class ObjectStore:
             self._slices = fresh._slices
             self._by_key = fresh._by_key
             self._attrs = fresh._attrs
-
-    def save(self, path: "Path | str") -> None:
-        """Persist the store to a JSON file."""
-        Path(path).write_text(json.dumps(self.snapshot(), indent=1))
-
-    @classmethod
-    def load(cls, path: "Path | str") -> "ObjectStore":
-        """Load a store previously written by :meth:`save`."""
-        return cls.from_snapshot(json.loads(Path(path).read_text()))
 
 
 def _encode_values(payload: dict) -> dict:

@@ -423,7 +423,6 @@ class WalManager:
         self.db.wal = self
         self.db.engine.journal = self
         self.db.tsem.journal = self
-        self.db.transactions.wal = self
         self._register_metrics()
 
     def _register_metrics(self) -> None:

@@ -179,7 +179,7 @@ def evolution_summary(db: TseDatabase) -> str:
 _FAMILY_NOTES: Dict[str, str] = {
     "pages": "page store: reads, writes, cache hits, page count",
     "extents": "extent evaluator: computes, cache hits, incremental deltas",
-    "transactions": "transaction manager: begun, committed, rolled back",
+    "transactions": "db.transaction() savepoints: committed, aborted",
     "pipeline": "schema-change pipeline: per-phase counts from the log",
     "concurrency": "session layer: readers/writers opened, latch waits, epochs",
     "migration": "lazy migration: backlog, captures by cause, backfill progress",

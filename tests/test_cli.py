@@ -71,6 +71,35 @@ class TestMetaCommands:
         assert any("add_attribute x to Student" in line for line in output)
 
 
+class TestBatchCommands:
+    def test_batch_commit_and_abort_through_a_renamed_property(self, session):
+        """``.batch`` collects updates and commits them as one atomic batch
+        in view vocabulary: the renamed property resolves in assignments
+        and in ``where``, and ``where`` sees the pre-batch state."""
+        db, output, shell = session
+        db.view("VS1").rename_property("Student", "name", "fullname")
+        state = shell([
+            ".batch begin",
+            'create Student [fullname = "Zed"]',
+            'set Student where fullname == "Zed" [fullname = "unseen"]',
+            'set Student where fullname == "s2" [fullname = "renamed"]',
+            ".batch status",
+            ".batch commit",
+            ".batch status",
+        ])
+        assert state["errors"] == 0
+        assert "batch in progress: 3 update(s) pending" in output
+        assert "batch committed: 3 update(s) applied atomically" in output
+        assert output[-1] == "no batch in progress"
+        names = sorted(h["fullname"] for h in db.view("VS1")["Student"].extent())
+        assert names == ["Zed", "grad1", "renamed", "ta0"]
+
+        output.clear()
+        state = shell([".batch begin", "delete from Student", ".batch abort"])
+        assert output[-1] == "batch aborted (1 pending update(s) discarded)"
+        assert db.view("VS1")["Student"].count() == 4
+
+
 class TestObservabilityCommands:
     def test_stats_lists_nested_groups(self, session):
         db, output, shell = session

@@ -1,6 +1,5 @@
 """Concurrency tests: schema latch, epochs, sessions, and the thread-safety
-bug cluster (transaction lock table, metrics instruments, OID allocation,
-WAL group commit).
+bug cluster (metrics instruments, OID allocation, WAL group commit).
 
 The centrepiece is the snapshot-isolation stress harness: reader threads
 query pinned view schemas while one writer loops randomized schema changes;
@@ -18,11 +17,10 @@ import pytest
 from repro.concurrency.epoch import EpochManager
 from repro.concurrency.latch import SchemaLatch
 from repro.core.database import TseDatabase
-from repro.errors import LockConflict, TseError
+from repro.errors import TseError
 from repro.obs.metrics import MetricsRegistry
 from repro.schema.properties import Attribute
 from repro.storage.oid import OidAllocator
-from repro.storage.transactions import LockMode, TransactionManager
 from repro.storage.wal import WriteAheadLog
 from tests.test_wal import assert_equivalent
 
@@ -157,67 +155,6 @@ class TestSchemaLatch:
         with latch.read():
             with pytest.raises(TseError):
                 latch.acquire_write()
-
-
-# ---------------------------------------------------------------------------
-# satellite: transaction lock-table regressions
-# ---------------------------------------------------------------------------
-
-class TestTransactionLocks:
-    def test_sole_holder_shared_to_exclusive_upgrade(self):
-        """Regression: the same transaction may upgrade SHARED→EXCLUSIVE on a
-        slice it is the sole holder of (read-then-write is the normal life
-        of a pipeline transaction)."""
-        db = TseDatabase()
-        manager = db.transactions
-        slice_id = db.store.create_slice("C", {"x": 1})
-        tx = manager.begin()
-        assert tx.get_value(slice_id, "x") == 1  # SHARED
-        tx.put_value(slice_id, "x", 2)  # upgrade must not raise
-        tx.commit()
-        assert db.store.get_value(slice_id, "x") == 2
-
-    def test_upgrade_with_co_holder_still_conflicts(self):
-        db = TseDatabase()
-        manager = db.transactions
-        slice_id = db.store.create_slice("C", {"x": 1})
-        tx1, tx2 = manager.begin(), manager.begin()
-        tx1.get_value(slice_id, "x")
-        tx2.get_value(slice_id, "x")
-        with pytest.raises(LockConflict):
-            tx1.put_value(slice_id, "x", 2)
-        tx2.abort()
-        tx1.put_value(slice_id, "x", 2)  # sole holder again: legal now
-        tx1.commit()
-
-    def test_threaded_sole_holder_upgrades_never_spurious(self):
-        """The original check-then-act let a concurrent reader turn a legal
-        sole-holder upgrade into a spurious LockConflict (or corrupt the
-        table into EXCLUSIVE-with-two-holders).  Hammer it: each thread
-        upgrades on its *own* slice while all threads share a common one."""
-        db = TseDatabase()
-        manager = db.transactions
-        shared = db.store.create_slice("S", {"n": 0})
-        own = [db.store.create_slice("C", {"x": 0}) for _ in range(8)]
-        tx_ids = []
-        tx_ids_lock = threading.Lock()
-
-        def make_worker(mine):
-            def worker():
-                for _ in range(150):
-                    tx = manager.begin()
-                    with tx_ids_lock:
-                        tx_ids.append(tx.tx_id)
-                    tx.get_value(shared, "n")  # co-held SHARED, never upgraded
-                    tx.get_value(mine, "x")  # SHARED ...
-                    tx.put_value(mine, "x", 1)  # ... then sole-holder upgrade
-                    tx.commit()
-
-            return worker
-
-        run_threads([make_worker(s) for s in own])
-        assert len(tx_ids) == len(set(tx_ids)), "duplicate transaction ids minted"
-        assert manager.locked_slice_count == 0, "locks leaked"
 
 
 # ---------------------------------------------------------------------------

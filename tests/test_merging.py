@@ -126,3 +126,37 @@ def test_successor_drops_property_renames_of_removed_classes():
     assert current.property_renames == {}
     merged = db.merge_views("V", "W", "M")
     assert "K3" in merged.class_names()
+
+
+def test_collapsed_replacements_keep_smallest_visible_name():
+    """When one change replaces two view classes of a merged view with the
+    same deduplicated class, the successor shows it under the smallest of
+    their visible names.  ``insert_class`` on the merged ``V19`` turned
+    both ``K5`` and ``K5_v3`` into ``K5'''``, and the view used to keep
+    whichever name the plan listed last, ``K5_v3`` (corpus entry
+    ``merge-collapse-visible-name``)."""
+    from repro.core.database import TseDatabase
+    from repro.schema.properties import Attribute
+
+    db = TseDatabase()
+    db.define_class("K1", [Attribute("a6", required=True, default=0), Attribute("a7")])
+    db.define_class("K2", [Attribute("a8")], inherits_from=("K1",))
+    db.define_class(
+        "K3", [Attribute("a9", required=True, default=1)], inherits_from=("K1",)
+    )
+    db.define_class("K4", [Attribute("a10")], inherits_from=("K2", "K3"))
+    db.define_class("K5", [Attribute("a11", default=7)])
+    db.create_view("V12", ["K1", "K2", "K3", "K4", "K5"], closure="ignore")
+    db.create_view("V13", ["K1", "K2", "K5"], closure="ignore")
+    db.view("V12").insert_class("C15", ("K1", "K5"))
+    db.view("V13").rename_class("K2", "R16")
+    db.view("V13").delete_attribute("a11", from_="K5")
+    merged = db.merge_views("V13", "V12", "V19", first_version=2)
+    assert {"K5", "K5_v3"} <= set(merged.class_names())
+
+    db.view("V19").insert_class("C26", ("R16", "K5"))
+    current = db.views.current("V19")
+    assert sorted(current.class_names()) == [
+        "C15", "C26", "K1", "K3", "K4", "K5", "R16",
+    ]
+    assert current.renames["K5'''"] == "K5"

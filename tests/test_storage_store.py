@@ -1,5 +1,7 @@
 """Unit tests for the object store (slices, scans, snapshots)."""
 
+import json
+
 import pytest
 
 from repro.errors import SliceNotFound
@@ -90,33 +92,33 @@ class TestScans:
         assert store.stats.page_reads == 4  # 64 slices / 16 per page
 
 
+def _json_roundtrip(store: ObjectStore) -> ObjectStore:
+    """Rebuild ``store`` from its snapshot after a trip through JSON text,
+    as persistence and WAL checkpoints do."""
+    return ObjectStore.from_snapshot(json.loads(json.dumps(store.snapshot())))
+
+
 class TestSnapshots:
-    def test_snapshot_roundtrip(self, tmp_path):
+    def test_snapshot_roundtrip(self):
         store = ObjectStore()
         a = store.create_slice("A", {"x": 1})
         b = store.create_slice("B", {"y": "two"})
-        path = tmp_path / "db.json"
-        store.save(path)
-        loaded = ObjectStore.load(path)
+        loaded = _json_roundtrip(store)
         assert loaded.read_slice(a) == {"x": 1}
         assert loaded.read_slice(b) == {"y": "two"}
 
-    def test_snapshot_preserves_oid_continuity(self, tmp_path):
+    def test_snapshot_preserves_oid_continuity(self):
         store = ObjectStore()
         existing = store.create_slice("A")
-        path = tmp_path / "db.json"
-        store.save(path)
-        loaded = ObjectStore.load(path)
+        loaded = _json_roundtrip(store)
         fresh = loaded.create_slice("A")
         assert fresh != existing
 
-    def test_snapshot_encodes_oid_references(self, tmp_path):
+    def test_snapshot_encodes_oid_references(self):
         store = ObjectStore()
         target = store.allocate_oid()
         holder = store.create_slice("A", {"ref": target})
-        path = tmp_path / "db.json"
-        store.save(path)
-        loaded = ObjectStore.load(path)
+        loaded = _json_roundtrip(store)
         assert loaded.get_value(holder, "ref") == target
 
     def test_oids_allocated_counter(self):
