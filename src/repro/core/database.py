@@ -37,6 +37,24 @@ from repro.views.manager import ViewManager
 from repro.views.schema import ViewSchema
 
 
+#: :meth:`TseDatabase.schema_change`'s argument vocabulary: per primitive,
+#: the required arguments, then the optional ones with their defaults.
+#: ``from`` is the wire spelling of the handles' ``from_``.
+_SCHEMA_CHANGE_ARGS = {
+    "add_attribute": (
+        ("name", "to"),
+        {"domain": "any", "required": False, "default": None},
+    ),
+    "delete_attribute": (("name", "from"), {}),
+    "add_method": (("name", "to"), {"doc": ""}),
+    "delete_method": (("name", "from"), {}),
+    "add_edge": (("sup", "sub"), {}),
+    "delete_edge": (("sup", "sub"), {"connected_to": None}),
+    "add_class": (("name",), {"connected_to": None}),
+    "delete_class": (("name",), {}),
+}
+
+
 class TseDatabase:
     """An in-process TSE database: global schema, instances, views, evolution."""
 
@@ -265,52 +283,29 @@ class TseDatabase:
         fault and are kept distinct from the database rejecting a
         well-formed change (:class:`~repro.errors.EvolutionError`).
         """
-        from repro.core.explain import PRIMITIVE_OPS
+        signature = _SCHEMA_CHANGE_ARGS.get(op)
+        if signature is None:
+            from repro.core.explain import PRIMITIVE_OPS
 
-        args = dict(args or {})
-        if op not in PRIMITIVE_OPS:
             raise ValueError(
                 f"unknown schema change {op!r}; expected one of "
                 f"{', '.join(PRIMITIVE_OPS)}"
             )
-
-        def need(*keys):
-            missing = [key for key in keys if key not in args]
-            if missing:
-                raise ValueError(f"{op} requires argument(s): {', '.join(missing)}")
-            return [args[key] for key in keys]
-
+        args = args or {}
         view = self.view(view_name)
+        required, optional = signature
+        missing = [key for key in required if key not in args]
+        if missing:
+            raise ValueError(f"{op} requires argument(s): {', '.join(missing)}")
+        kwargs = {("from_" if key == "from" else key): args[key] for key in required}
+        for key, default in optional.items():
+            kwargs[key] = args.get(key, default)
         if op == "add_attribute":
-            (name, to) = need("name", "to")
-            view.add_attribute(
-                name,
-                to=to,
-                domain=args.get("domain", "any"),
-                required=bool(args.get("required", False)),
-                default=args.get("default"),
-            )
-        elif op == "delete_attribute":
-            (name, from_) = need("name", "from")
-            view.delete_attribute(name, from_=from_)
+            kwargs["required"] = bool(kwargs["required"])
         elif op == "add_method":
-            (name, to) = need("name", "to")
-            view.add_method(name, to=to, body=None, doc=str(args.get("doc", "")))
-        elif op == "delete_method":
-            (name, from_) = need("name", "from")
-            view.delete_method(name, from_=from_)
-        elif op == "add_edge":
-            (sup, sub) = need("sup", "sub")
-            view.add_edge(sup, sub)
-        elif op == "delete_edge":
-            (sup, sub) = need("sup", "sub")
-            view.delete_edge(sup, sub, connected_to=args.get("connected_to"))
-        elif op == "add_class":
-            (name,) = need("name")
-            view.add_class(name, connected_to=args.get("connected_to"))
-        else:  # delete_class — PRIMITIVE_OPS membership checked above
-            (name,) = need("name")
-            view.delete_class(name)
+            kwargs["doc"] = str(kwargs["doc"])
+            kwargs["body"] = None  # a method body is code; it cannot cross the wire
+        getattr(view, op)(**kwargs)
         return {"view": view_name, "version": self.views.current(view_name).version}
 
     def describe_view(self, view_name: str) -> Dict[str, object]:
@@ -578,11 +573,17 @@ class TseDatabase:
         """A context manager giving all-or-nothing semantics to a block of
         work — generic updates *and* schema evolution alike.
 
-        Implemented as a whole-database savepoint (this is a single-process
-        reproduction; the paper delegated real concurrency control to
-        GemStone): on a raised exception the store, instance pool, global
-        schema, view history, evolution log and indexes are rolled back to
-        the state at entry, and the exception propagates.
+        Implemented as a savepoint (this is a single-process reproduction;
+        the paper delegated real concurrency control to GemStone): on a
+        raised exception the store, instance pool, global schema, view
+        history, evolution log and indexes are rolled back to the state at
+        entry, and the exception propagates.  The store and the pool do not
+        copy anything on entry: inside the outermost savepoint they journal
+        the inverse of every write into one shared undo journal, entry
+        takes a mark in it, and a rollback undoes the block's writes
+        newest-first.  Savepoints nest; an inner rollback undoes back to
+        its own mark only, and the journal is dropped when the outermost
+        savepoint ends.
 
         ::
 
@@ -596,26 +597,31 @@ class TseDatabase:
         @contextmanager
         def scope():
             tracer = self.obs.tracer
-            checkpoint = self._checkpoint()
-            if self.wal is not None:
-                self.wal.begin_savepoint()
+            outermost = self.pool.journal is None
             try:
-                yield self
-            except BaseException:
-                with tracer.span("abort", scope="savepoint"):
-                    self._restore(checkpoint)
+                checkpoint = self._checkpoint()
                 if self.wal is not None:
-                    # abort is a no-op on disk: buffered records are dropped
-                    self.wal.abort_savepoint()
-                self.aborts += 1
-                raise
-            with tracer.span("commit", scope="savepoint"):
-                # savepoint release: the WAL buffer (records journaled by
-                # the block) reaches the disk here, in one barrier — this
-                # closes the all-or-nothing unit of work
-                if self.wal is not None:
-                    self.wal.commit_savepoint()
-            self.commits += 1
+                    self.wal.begin_savepoint()
+                try:
+                    yield self
+                except BaseException:
+                    with tracer.span("abort", scope="savepoint"):
+                        self._restore(checkpoint)
+                    if self.wal is not None:
+                        # abort is a no-op on disk: buffered records are dropped
+                        self.wal.abort_savepoint()
+                    self.aborts += 1
+                    raise
+                with tracer.span("commit", scope="savepoint"):
+                    # savepoint release: the WAL buffer (records journaled by
+                    # the block) reaches the disk here, in one barrier — this
+                    # closes the all-or-nothing unit of work
+                    if self.wal is not None:
+                        self.wal.commit_savepoint()
+                self.commits += 1
+            finally:
+                if outermost:
+                    self.pool.end_journal()
 
         return scope()
 
@@ -677,7 +683,7 @@ class TseDatabase:
 
     def _checkpoint(self) -> dict:
         return {
-            "store": self.store.snapshot(),
+            # a mark in the undo journal the store and the pool share
             "pool": self.pool.memento(),
             "schema": self.schema.memento(),
             "views": {
@@ -690,7 +696,6 @@ class TseDatabase:
         }
 
     def _restore(self, checkpoint: dict) -> None:
-        self.store.restore_snapshot(checkpoint["store"])
         self.pool.restore(checkpoint["pool"])
         self.schema.restore(checkpoint["schema"])
         self.views.history._versions = {

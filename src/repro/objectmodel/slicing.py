@@ -23,7 +23,7 @@ from typing import Container, Dict, FrozenSet, Iterable, ItemsView, Iterator, Op
 
 from repro.errors import InvalidCast, NotAMember, ObjectNotFound
 from repro.storage.oid import OID_SIZE_BYTES, POINTER_SIZE_BYTES, Oid
-from repro.storage.store import ObjectStore
+from repro.storage.store import ObjectStore, UndoJournal
 
 #: distinguishes "attribute never written" from a stored ``None`` so
 #: :meth:`InstancePool.get_value` costs one page read instead of two
@@ -42,7 +42,7 @@ class PoolDelta:
     ``set_value``          ``oid``, ``class_name`` (storage class), ``attr``
     ``remove_value``       ``oid``, ``class_name`` (storage class), ``attr``
     ``destroy``            ``oid``
-    ``reset``              (none — the whole pool state was replaced)
+    ``reset``              (none — a savepoint rollback undid writes)
     ==================  ==========================================
 
     Incremental extent maintenance consumes these to apply ``±{oid}``
@@ -113,6 +113,22 @@ class InstancePool:
     exist and where each attribute is stored; the pool just keeps the slices.
     """
 
+    #: every instance field is either undone through the undo journal or
+    #: holds no database state (the generation only ever grows; listeners
+    #: and the migration hook are wiring); a tier-1 test checks the two
+    #: lists cover every field
+    JOURNALED_FIELDS = ("_objects", "_members_direct")
+    UNJOURNALED_FIELDS = (
+        "store",
+        "_generation",
+        "_value_listeners",
+        "_destroy_listeners",
+        "_slice_drop_listeners",
+        "_delta_listeners",
+        "migration",
+        "journal",
+    )
+
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
         self._objects: Dict[Oid, ConceptualObject] = {}
@@ -130,6 +146,11 @@ class InstancePool:
         #: when set, every leaf mutator asks it to seal affected pending
         #: epoch extents *before* the pool state changes (lazy migration)
         self.migration = None
+        #: the open savepoint's :class:`~repro.storage.store.UndoJournal`
+        #: (shared with the store), or ``None`` outside a savepoint; every
+        #: write to ``_objects``, ``_members_direct`` and a conceptual
+        #: object's fields journals its inverse while one is open
+        self.journal: Optional[UndoJournal] = None
 
     def add_value_listener(self, callback) -> None:
         """Subscribe to attribute writes (index maintenance hook)."""
@@ -176,6 +197,8 @@ class InstancePool:
             oid = self.store.allocate_oid()
             obj = ConceptualObject(oid)
             self._objects[oid] = obj
+            if self.journal is not None:
+                self.journal.append((self._objects.pop, oid))
             for name in direct_classes:
                 self._add_direct(obj, name)
             self._dirty()
@@ -201,6 +224,8 @@ class InstancePool:
             for name in list(obj.direct_classes):
                 self._discard_direct(oid, name)
             del self._objects[oid]
+            if self.journal is not None:
+                self.journal.append((self._objects.__setitem__, oid, obj))
             self._dirty()
             for listener in self._destroy_listeners:
                 listener(oid)
@@ -231,17 +256,32 @@ class InstancePool:
     # -- membership (multiple & dynamic classification) -------------------------
 
     def _add_direct(self, obj: ConceptualObject, class_name: str) -> None:
+        if self.journal is not None and class_name not in obj.direct_classes:
+            self.journal.append((self._undo_add_direct, obj, class_name))
         obj.direct_classes.add(class_name)
         self._members_direct.setdefault(class_name, set()).add(obj.oid)
+
+    def _undo_add_direct(self, obj: ConceptualObject, class_name: str) -> None:
+        # undo entries never journal, so this cannot reuse _discard_direct
+        obj.direct_classes.discard(class_name)
+        bucket = self._members_direct[class_name]
+        bucket.discard(obj.oid)
+        if not bucket:
+            del self._members_direct[class_name]
 
     def _discard_direct(self, oid: Oid, class_name: str) -> None:
         """Drop one direct membership, pruning the bucket when it empties so
         ``classes_with_members`` never iterates dead entries."""
         bucket = self._members_direct.get(class_name)
-        if bucket is not None:
+        if bucket is not None and oid in bucket:
             bucket.discard(oid)
             if not bucket:
                 del self._members_direct[class_name]
+            if self.journal is not None:
+                self.journal.append((self._undo_discard_direct, oid, class_name))
+
+    def _undo_discard_direct(self, oid: Oid, class_name: str) -> None:
+        self._members_direct.setdefault(class_name, set()).add(oid)
 
     def add_membership(self, oid: Oid, class_name: str) -> None:
         """Make the object a direct member of another class (generic ``add``).
@@ -283,17 +323,26 @@ class InstancePool:
         sealed = mig is not None and mig.begin_mutation(
             "membership", oid=oid, class_names=(class_name,)
         )
+        journal = self.journal
         try:
             obj.direct_classes.discard(class_name)
+            if journal is not None:
+                journal.append((obj.direct_classes.add, class_name))
             self._discard_direct(oid, class_name)
             if not keep_slice:
                 impl = obj.implementations.pop(class_name, None)
                 if impl is not None:
+                    if journal is not None:
+                        journal.append(
+                            (obj.implementations.__setitem__, class_name, impl)
+                        )
                     self.store.drop_slice(impl.slice_id)
                     for listener in self._slice_drop_listeners:
                         listener(oid, class_name)
             if obj.current_class == class_name:
                 obj.current_class = None
+                if journal is not None:
+                    journal.append((setattr, obj, "current_class", class_name))
             self._dirty()
             self._emit(
                 PoolDelta("remove_membership", oid=oid, class_name=class_name)
@@ -341,6 +390,8 @@ class InstancePool:
         obj = self.get(oid)
         if class_name not in member_of:
             raise InvalidCast(f"{oid} is not a member of {class_name!r}")
+        if self.journal is not None:
+            self.journal.append((setattr, obj, "current_class", obj.current_class))
         obj.current_class = class_name
 
     # -- slices and values ----------------------------------------------------------
@@ -359,6 +410,8 @@ class InstancePool:
                 slice_id=slice_id,
             )
             obj.implementations[storage_class] = impl
+            if self.journal is not None:
+                self.journal.append((obj.implementations.pop, storage_class))
         return impl
 
     def get_value(
@@ -386,8 +439,8 @@ class InstancePool:
         slice_read = self.store.value_reader(storage_class, attr, default)
 
         def read(oid: Oid, _pool=self) -> object:
-            # _objects is reassigned wholesale by restore(); go through the
-            # pool attribute so savepoint rollbacks are always visible
+            # the object table is resolved through the pool per call,
+            # exactly as get(); savepoint undo mutates it in place
             try:
                 obj = _pool._objects[oid]
             except KeyError:
@@ -448,56 +501,46 @@ class InstancePool:
                 if sealed:
                     mig.end_mutation()
 
-    # -- mementos -------------------------------------------------------------
+    # -- savepoint marks ------------------------------------------------------
 
-    def memento(self) -> tuple:
-        """A restorable snapshot of memberships and slice links.
+    def memento(self) -> int:
+        """Mark the undo journal (savepoint entry); :meth:`restore` with the
+        mark undoes every store and pool write made after it.
 
-        Implementation objects are immutable records, so sharing them
-        between the live state and the memento is safe; the mutable sets and
-        dicts are copied.
+        Opens a journal shared with the store when none is attached; the
+        caller ends it with :meth:`end_journal` once the outermost
+        savepoint is over.  The mark costs O(1) whatever the pool's size.
         """
-        objects = {}
-        for oid, obj in self._objects.items():
-            clone = ConceptualObject(oid)
-            clone.direct_classes = set(obj.direct_classes)
-            clone.implementations = dict(obj.implementations)
-            clone.current_class = obj.current_class
-            objects[oid] = clone
-        members = {name: set(oids) for name, oids in self._members_direct.items()}
-        return (objects, members)
+        journal = self.journal
+        if journal is None:
+            journal = self.journal = self.store.journal = UndoJournal()
+        mark = len(journal)
+        self.store.journal_oids()
+        return mark
 
-    def restore(self, memento: tuple) -> None:
-        """Roll memberships and slice links back to a prior :meth:`memento`.
+    def end_journal(self) -> None:
+        """Drop the journal: the outermost savepoint committed or aborted,
+        so no mark is left to undo to."""
+        self.journal = self.store.journal = None
 
-        The wholesale replacement can move any extent, so pending epoch
-        captures are all sealed first — with publish-time values: the
-        restore target is the savepoint entry state, and any class a
-        mid-savepoint mutation touched was already sealed by that
-        mutation's own hook.
+    def restore(self, mark: int) -> None:
+        """Roll memberships, slice links and slices back to a
+        :meth:`memento` mark by undoing the journal newest-first.
+
+        The undo can move any extent, so pending epoch captures are all
+        sealed first — with publish-time values: the restore target is the
+        savepoint entry state, and any class a mid-savepoint mutation
+        touched was already sealed by that mutation's own hook.
         """
         mig = self.migration
         sealed = mig is not None and mig.begin_mutation("reset")
         try:
-            self._restore_body(memento)
+            self.store.undo_to(mark)
+            self._dirty()
+            self._emit(PoolDelta("reset"))
         finally:
             if sealed:
                 mig.end_mutation()
-
-    def _restore_body(self, memento: tuple) -> None:
-        objects, members = memento
-        self._objects = {}
-        for oid, obj in objects.items():
-            clone = ConceptualObject(oid)
-            clone.direct_classes = set(obj.direct_classes)
-            clone.implementations = dict(obj.implementations)
-            clone.current_class = obj.current_class
-            self._objects[oid] = clone
-        self._members_direct = {
-            name: set(oids) for name, oids in members.items() if oids
-        }
-        self._dirty()
-        self._emit(PoolDelta("reset"))
 
     # -- statistics for Table 1 ---------------------------------------------------
 

@@ -1,8 +1,9 @@
 """Storage substrate: the GemStone stand-in.
 
 Provides OID allocation, page-simulated slice storage with I/O accounting,
-store snapshots, and the write-ahead log.  Atomicity is the database-level
-savepoint (``TseDatabase.transaction``), not a storage-level transaction.
+store snapshots, the undo journal savepoints roll back with, and the
+write-ahead log.  Atomicity is the database-level savepoint
+(``TseDatabase.transaction``), not a storage-level transaction.
 See ``DESIGN.md`` section 5 for the substitution rationale.
 """
 

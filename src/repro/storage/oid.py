@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Tuple
 
 #: Size of one OID in bytes, used by the Table 1 storage accounting.  GemStone
 #: used 32-bit OOPs; we keep the same figure so the paper's formulas
@@ -133,7 +133,7 @@ class OidAllocator:
     def fast_forward(self, next_value: int) -> None:
         """Advance the allocator so the next OID carries ``next_value``.
 
-        Only forward movement is allowed — OIDs are never reissued.
+        Only forward movement is allowed; only :meth:`rewind` reissues OIDs.
         """
         with self._mutex:
             if next_value < self._next:
@@ -143,6 +143,21 @@ class OidAllocator:
             while self._next < next_value:
                 self._next += 1
                 self._allocated += 1
+
+    def position(self) -> Tuple[int, int]:
+        """``(next value, allocated count)``, for :meth:`rewind`."""
+        with self._mutex:
+            return self._next, self._allocated
+
+    def rewind(self, position: Tuple[int, int]) -> None:
+        """Move back to a :meth:`position` (savepoint undo only).
+
+        The OIDs handed out since then belonged to state the undo has
+        removed, so reissuing them aliases nothing, and the database
+        continues exactly as if the rolled-back block had never run.
+        """
+        with self._mutex:
+            self._next, self._allocated = position
 
     def snapshot(self) -> dict:
         """Return a JSON-serialisable snapshot of the allocator state."""

@@ -64,10 +64,10 @@ class Page:
             raise PageError(f"slot {slot} not present on page {self.page_id}")
         self.slots[slot] = payload
 
-    def delete(self, slot: int) -> None:
+    def delete(self, slot: int) -> object:
         if slot not in self.slots:
             raise PageError(f"slot {slot} not present on page {self.page_id}")
-        del self.slots[slot]
+        return self.slots.pop(slot)
 
 
 @dataclass
@@ -191,9 +191,18 @@ class PageManager:
         self._touch(page_id, write=True)
         return page.read(slot)
 
-    def delete(self, page_id: int, slot: int) -> None:
+    def delete(self, page_id: int, slot: int) -> object:
+        """Free a slot, returning the payload it held."""
         page = self._page(page_id)
-        page.delete(slot)
+        payload = page.delete(slot)
+        self._touch(page_id, write=True)
+        return payload
+
+    def put_back(self, page_id: int, slot: int, payload: object) -> None:
+        """Re-occupy a slot freed by :meth:`delete` (savepoint undo).  Slot
+        numbers are never reissued, so the address is still free."""
+        page = self._page(page_id)
+        page.slots[slot] = payload
         self._touch(page_id, write=True)
 
     def pages_for_key(self, cluster_key: str) -> List[int]:

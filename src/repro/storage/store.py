@@ -8,8 +8,10 @@ from its platform exactly four things, all provided here:
   that the object-slicing architecture attaches to a conceptual object;
 * **clustering** of same-class slices onto shared pages, with page-level
   access accounting so Table 1's cost model can be measured;
-* **snapshots** of every live slice, from which savepoints, checkpoints and
-  ``repro.persistence`` save and reload a database.
+* **snapshots** of every live slice, from which checkpoints and
+  ``repro.persistence`` save and reload a database, and an **undo journal**
+  (:class:`UndoJournal`) of the writes made inside an open savepoint, from
+  which ``TseDatabase.transaction`` rolls back.
 
 The store knows nothing about schemas or views; it stores flat slotted
 payloads keyed by slice id — attribute names are interned once per cluster
@@ -33,6 +35,30 @@ from repro.storage.pages import DEFAULT_CACHE_PAGES, DEFAULT_SLOTS_PER_PAGE, Pag
 #: slot marker for "attribute not present in this slice" — distinguishes a
 #: stored ``None`` from an absent value in slotted payloads
 _ABSENT = object()
+
+
+class UndoJournal(list):
+    """One ordered list of undo entries, shared by the store and the pool.
+
+    Each entry is a tuple ``(undo, *args)``; ``undo(*args)`` reverses one
+    write.  A savepoint is a mark in the journal (its length at entry), so
+    entry and commit cost O(1) and :meth:`undo_to` costs O(writes made
+    since the mark).  Undoing newest-first takes every structure back
+    through exactly the states it passed through, so an entry may rely on
+    the state its own write left behind (a created slice is the last id
+    of its cluster bucket, say).
+    """
+
+    __slots__ = ()
+
+    def undo_to(self, mark: int) -> None:
+        while len(self) > mark:
+            entry = self.pop()
+            entry[0](*entry[1:])
+
+
+def _set_slot(payload: list, pos: int, value: object) -> None:
+    payload[pos] = value
 
 
 @dataclass(slots=True)
@@ -79,6 +105,12 @@ class ObjectStore:
     can observe simulated I/O.
     """
 
+    #: every instance field is either undone through the journal or holds
+    #: no database state (attribute tables only ever intern names); a
+    #: tier-1 test checks the two lists cover every field
+    JOURNALED_FIELDS = ("_oids", "_pages", "_slices", "_by_key")
+    UNJOURNALED_FIELDS = ("_attrs", "_mutex", "journal")
+
     def __init__(
         self,
         slots_per_page: int = DEFAULT_SLOTS_PER_PAGE,
@@ -89,10 +121,13 @@ class ObjectStore:
         self._slices: Dict[Oid, SliceRecord] = {}
         self._by_key: Dict[str, List[Oid]] = {}
         self._attrs: Dict[str, AttributeTable] = {}
-        #: guards slice-table bookkeeping (create/drop) and the snapshot
-        #: restore swap; value reads go straight to the page manager — the
-        #: session layer's epoch snapshots isolate readers from writers
+        #: guards slice-table bookkeeping (create/drop) and savepoint undo;
+        #: value reads go straight to the page manager — the session
+        #: layer's epoch snapshots isolate readers from writers
         self._mutex = threading.RLock()
+        #: the open savepoint's :class:`UndoJournal` (shared with the
+        #: instance pool), or ``None`` outside a savepoint
+        self.journal: Optional[UndoJournal] = None
 
     # -- OIDs ----------------------------------------------------------------
 
@@ -141,7 +176,14 @@ class ObjectStore:
             record = SliceRecord(slice_id, cluster_key, page_id, slot)
             self._slices[slice_id] = record
             self._by_key.setdefault(cluster_key, []).append(slice_id)
+            if self.journal is not None:
+                self.journal.append((self._undo_create, slice_id))
         return slice_id
+
+    def _undo_create(self, slice_id: Oid) -> None:
+        record = self._slices.pop(slice_id)
+        self._pages.delete(record.page_id, record.slot)
+        self._by_key[record.cluster_key].pop()
 
     def _record(self, slice_id: Oid) -> SliceRecord:
         try:
@@ -182,9 +224,8 @@ class ObjectStore:
         self._table(cluster_key)  # ensure the attribute table exists
 
         def read(slice_id: Oid, _store=self) -> object:
-            # one attribute hop per structure instead of binding the dicts:
-            # restore_snapshot swaps _slices/_pages/_attrs wholesale, and a
-            # reader must follow the swap (savepoint rollbacks depend on it)
+            # the tables are resolved through the store per call, exactly
+            # as get_value does; savepoint undo mutates them in place
             try:
                 record = _store._slices[slice_id]
             except KeyError:
@@ -218,6 +259,8 @@ class ObjectStore:
         pos = self._attrs[record.cluster_key].intern(key)
         if pos >= len(payload):
             payload.extend([_ABSENT] * (pos + 1 - len(payload)))
+        if self.journal is not None:
+            self.journal.append((_set_slot, payload, pos, payload[pos]))
         payload[pos] = value
 
     def remove_value(self, slice_id: Oid, key: str) -> None:
@@ -227,6 +270,8 @@ class ObjectStore:
         pos = self._attrs[record.cluster_key].index.get(key)
         if pos is None or pos >= len(payload):
             return
+        if self.journal is not None:
+            self.journal.append((_set_slot, payload, pos, payload[pos]))
         payload[pos] = _ABSENT
         self._pages.write(record.page_id, record.slot, payload)
 
@@ -234,14 +279,29 @@ class ObjectStore:
         """Destroy a slice and free its slot."""
         with self._mutex:
             record = self._record(slice_id)
-            self._pages.delete(record.page_id, record.slot)
+            payload = self._pages.delete(record.page_id, record.slot)
             del self._slices[slice_id]
             bucket = self._by_key.get(record.cluster_key)
+            index = None
             if bucket is not None:
                 try:
-                    bucket.remove(slice_id)
+                    index = bucket.index(slice_id)
+                    del bucket[index]
                 except ValueError:
                     pass
+            if self.journal is not None:
+                # the payload list itself, not a copy: nothing reaches it
+                # once the slot is freed, and putting the same list back
+                # keeps older entries that point into it valid
+                self.journal.append((self._undo_drop, record, payload, index))
+
+    def _undo_drop(
+        self, record: SliceRecord, payload: list, index: Optional[int]
+    ) -> None:
+        self._pages.put_back(record.page_id, record.slot, payload)
+        self._slices[record.slice_id] = record
+        if index is not None:
+            self._by_key[record.cluster_key].insert(index, record.slice_id)
 
     def slice_exists(self, slice_id: Oid) -> bool:
         return slice_id in self._slices
@@ -281,6 +341,21 @@ class ObjectStore:
     @property
     def live_slice_count(self) -> int:
         return len(self._slices)
+
+    # -- savepoint journal -------------------------------------------------------
+
+    def journal_oids(self) -> None:
+        """Journal the OID allocator's position (a savepoint mark): undoing
+        past this entry reissues the OIDs allocated after it, like the
+        rolled-back state that used them."""
+        oids = self._oids
+        self.journal.append((oids.rewind, oids.position()))
+
+    def undo_to(self, mark: int) -> None:
+        """Undo every journaled store and pool write made after ``mark``
+        (savepoint abort), under the slice-table mutex."""
+        with self._mutex:
+            self.journal.undo_to(mark)
 
     # -- snapshots ----------------------------------------------------------------
 
@@ -334,23 +409,6 @@ class ObjectStore:
             store._slices[slice_id] = SliceRecord(slice_id, key, page_id, slot)
             store._by_key.setdefault(key, []).append(slice_id)
         return store
-
-    def restore_snapshot(self, state: dict) -> None:
-        """Restore the store *in place* from :meth:`snapshot` output.
-
-        In-place restoration keeps every component that holds a reference to
-        this store (pool, indexes) valid — the foundation of
-        database-level savepoints.
-        """
-        fresh = ObjectStore.from_snapshot(state)
-        # swap all four structures in one critical section so a concurrent
-        # slice create/drop never interleaves with a half-restored store
-        with self._mutex:
-            self._oids = fresh._oids
-            self._pages = fresh._pages
-            self._slices = fresh._slices
-            self._by_key = fresh._by_key
-            self._attrs = fresh._attrs
 
 
 def _encode_values(payload: dict) -> dict:

@@ -405,7 +405,8 @@ class WalManager:
         self.torn_bytes_dropped = 0
         self.last_checkpoint_seconds = 0.0
         self.last_recovery_seconds = 0.0
-        self._savepoint_depth = 0
+        #: buffer length at each open savepoint's entry, outermost first
+        self._savepoint_marks: List[int] = []
         self._buffer: List[Tuple[str, dict]] = []
         self._replaying = False
         self._metrics = None
@@ -457,7 +458,7 @@ class WalManager:
             "ops_committed": self.ops_committed,
             "records_replayed": self.records_replayed,
             "torn_bytes_dropped": self.torn_bytes_dropped,
-            "savepoint_depth": self._savepoint_depth,
+            "savepoint_depth": len(self._savepoint_marks),
             "buffered_records": len(self._buffer),
             "log_bytes": (
                 self.log.path.stat().st_size if self.log.path.exists() else 0
@@ -477,7 +478,7 @@ class WalManager:
         if self._replaying:
             return
         with self._append_lock:
-            if self._savepoint_depth > 0:
+            if self._savepoint_marks:
                 self._buffer.append((kind, payload))
                 return
             self._append(kind, payload)
@@ -615,7 +616,7 @@ class WalManager:
 
     def begin_savepoint(self) -> None:
         with self._append_lock:
-            self._savepoint_depth += 1
+            self._savepoint_marks.append(len(self._buffer))
 
     def commit_savepoint(self) -> None:
         """Outermost commit makes the buffered records durable atomically.
@@ -627,10 +628,10 @@ class WalManager:
         """
         flush_needed = False
         with self._append_lock:
-            if self._savepoint_depth == 0:
+            if not self._savepoint_marks:
                 raise StorageError("commit_savepoint without begin_savepoint")
-            self._savepoint_depth -= 1
-            if self._savepoint_depth == 0 and self._buffer:
+            self._savepoint_marks.pop()
+            if not self._savepoint_marks and self._buffer:
                 buffered, self._buffer = self._buffer, []
                 self._append(
                     "txn",
@@ -646,13 +647,12 @@ class WalManager:
             self.flush()
 
     def abort_savepoint(self) -> None:
-        """Abort is a no-op on disk: buffered records are dropped."""
+        """Abort is a no-op on disk: the records the savepoint buffered are
+        dropped, and an enclosing savepoint keeps only its own."""
         with self._append_lock:
-            if self._savepoint_depth == 0:
+            if not self._savepoint_marks:
                 raise StorageError("abort_savepoint without begin_savepoint")
-            self._savepoint_depth -= 1
-            if self._savepoint_depth == 0:
-                self._buffer.clear()
+            del self._buffer[self._savepoint_marks.pop():]
 
     # ------------------------------------------------------------------
     # checkpoints
@@ -672,7 +672,7 @@ class WalManager:
         """
         from repro.persistence import FORMAT_VERSION, database_to_dict
 
-        if self._savepoint_depth > 0:
+        if self._savepoint_marks:
             raise StorageError(
                 "cannot checkpoint inside an open db.transaction() savepoint"
             )

@@ -100,7 +100,7 @@ class TestBatchCommands:
         assert db.view("VS1")["Student"].count() == 4
 
 
-class TestObservabilityCommands:
+class TestStatsMetricsTraceCommands:
     def test_stats_lists_nested_groups(self, session):
         db, output, shell = session
         shell([".stats"])
@@ -163,7 +163,7 @@ class TestObservabilityCommands:
         db, output, shell = session
         shell([".trace bogus", ".trace show nan"])
         assert output.count("usage: .trace show [n]") == 1
-        assert output.count("usage: .trace on|off|show [n]") == 1
+        assert output.count("usage: .trace on|off|show [n]|export <file>") == 1
 
 
 class TestLanguagePassthrough:
