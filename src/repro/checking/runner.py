@@ -15,6 +15,18 @@ observable equivalence after every step:
 * per object in every extent: the full attribute-value mapping as read
   through that view class (stored values and declared defaults).
 
+Each view is read through one ``ViewHandle.dump()`` and walked against
+the oracle's dump in a fixed order (:meth:`DifferentialHarness._first_difference`).
+
+Commands reach the real database through a resolver and an applier.  A
+generic update resolves once — blind indices read against the oracle's
+bindings of a ``(view, version)`` pair — into the view-vocabulary dict
+``TseDatabase.apply_view_updates`` takes; :func:`_write` applies it
+through the current or a pinned handle, ``apply_many`` batches go to
+``apply_view_updates`` itself, and :func:`_oracle_write` is the oracle's
+twin.  Schema ops resolve through :data:`_SCHEMA_ARGS` into the positional
+arguments of the same-named ``ViewHandle`` method.
+
 Crash commands arm a :class:`~repro.storage.wal.CrashInjector`, run one
 real mutation until ``SimulatedCrash``, then recover the real database
 from its WAL directory; the oracle simply *skips* the armed operation
@@ -36,16 +48,18 @@ Entry points:
 
 from __future__ import annotations
 
-import copy
 import os
 import random
 import shutil
 import tempfile
+from itertools import groupby
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.checking.commands import (
     APP_SLOTS,
+    AUTHORING_OPS,
     MIGRATION_OPS,
     READER_SLOTS,
     SCHEMA_OPS,
@@ -60,6 +74,7 @@ from repro.checking.oracle import OracleReject, RefModel, Spec
 from repro.core.database import TseDatabase
 from repro.errors import TseError
 from repro.schema.properties import Attribute
+from repro.storage.oid import Oid
 from repro.storage.wal import CrashInjector, SimulatedCrash
 
 
@@ -110,7 +125,153 @@ class Divergence(AssertionError):
 
 
 #: ops applied through the uniform prepare/two-sided path
-_PREP_OPS = UPDATE_OPS + SCHEMA_OPS + ("define_class", "create_view")
+_PREP_OPS = UPDATE_OPS + SCHEMA_OPS + AUTHORING_OPS
+
+
+class _Skip(Exception):
+    """A blind index had nothing to pick: both sides agree to skip."""
+
+
+class _Picker:
+    """Resolves one command's blind indices against the oracle's bindings
+    of one view at one version (``None``: the current version).
+
+    The oracle's observables are the address space; a required pick from
+    an empty sequence raises :class:`_Skip`.
+    """
+
+    __slots__ = ("model", "view", "version", "args")
+
+    def __init__(self, model: RefModel, view: str, version, args: dict) -> None:
+        self.model = model
+        self.view = view
+        self.version = version
+        self.args = args
+
+    def pick(self, seq, key: str, required: bool = True):
+        if not seq:
+            if required:
+                raise _Skip()
+            return None
+        return seq[self.args[key] % len(seq)]
+
+    def cls(self, key: str, required: bool = True):
+        return self.pick(
+            self.model.class_names(self.view, self.version), key, required
+        )
+
+    def names(self, names_of: str, cls: str, key: str):
+        """One of what ``RefModel.<names_of>(view, cls, version)`` lists."""
+        listed = getattr(self.model, names_of)(self.view, cls, self.version)
+        return self.pick(listed, key)
+
+
+def _write(handle, update: dict):
+    """Apply one resolved update through a view handle, current or pinned.
+    Returns the new OID for a create."""
+    op, cls = update["op"], update["class"]
+    if op == "create":
+        return handle[cls].create(**update["values"]).oid
+    obj = handle[update.get("from", cls)].get_object(Oid(update["oids"][0]))
+    if op == "add":
+        obj.add_to(cls)
+    elif op == "remove":
+        obj.remove_from(cls)
+    elif op == "set":
+        for name, value in update["values"].items():
+            obj.set(name, value)
+    else:
+        obj.delete()
+    return None
+
+
+def _oracle_write(model: RefModel, view: str, version, update: dict, oid) -> None:
+    """The oracle's twin of :func:`_write`; ``oid`` is the OID the real
+    create allocated (or a stand-in)."""
+    op, cls = update["op"], update["class"]
+    if op == "create":
+        model.create(view, cls, update["values"], oid, version=version)
+        return
+    target = Oid(update["oids"][0])
+    if op == "add":
+        model.add(view, cls, target, version=version)
+    elif op == "remove":
+        model.remove(view, cls, target, version=version)
+    elif op == "set":
+        model.set_values(view, cls, target, update["values"], version=version)
+    else:
+        model._check_writable(view, version)
+        # the engine rejects deleting a dead object (in a batch an earlier
+        # update may have deleted it); RefModel.delete is a silent no-op
+        if target not in model.objects:
+            raise OracleReject(f"object {target!r} is already deleted")
+        model.delete(target)
+
+
+def _delete_property_args(names_of: str, key: str):
+    """Resolver of a delete-property op: a view class, then one of the
+    names ``RefModel.<names_of>`` lists for it."""
+
+    def resolve(picker: _Picker, args: dict) -> list:
+        cls = picker.cls("cls_i")
+        return [picker.names(names_of, cls, key), cls]
+
+    return resolve
+
+
+def _delete_edge_args(picker: _Picker, args: dict) -> list:
+    sup, sub = picker.cls("sup_i"), picker.cls("sub_i")
+    conn = None
+    if args.get("connect"):
+        ancestors = picker.model.ancestors(picker.view, sup)
+        conn = picker.pick(ancestors, "conn_i", required=False)
+    return [sup, sub, conn]
+
+
+def _rename_property_args(picker: _Picker, args: dict) -> list:
+    model, view = picker.model, picker.view
+    cls = picker.cls("cls_i")
+    props = sorted(model.attribute_names(view, cls) + model.method_names(view, cls))
+    return [cls, picker.pick(props, "prop_i"), args["new"]]
+
+
+#: schema op -> the positional arguments of ``ViewHandle.<op>``, resolved
+#: through a :class:`_Picker` from the command's args
+_SCHEMA_ARGS: Dict[str, Callable[[_Picker, dict], list]] = {
+    "add_attribute": lambda p, a: [a["name"], p.cls("to_i"), "any", False, a["default"]],
+    "add_method": lambda p, a: [a["name"], p.cls("to_i"), _noop_method],
+    "delete_attribute": _delete_property_args("attribute_names", "attr_i"),
+    "delete_method": _delete_property_args("method_names", "meth_i"),
+    "add_edge": lambda p, a: [p.cls("sup_i"), p.cls("sub_i")],
+    "delete_edge": _delete_edge_args,
+    "add_class": lambda p, a: [
+        a["name"],
+        p.cls("conn_i", required=False) if a.get("connect") else None,
+    ],
+    "delete_class": lambda p, a: [p.cls("cls_i")],
+    "rename_class": lambda p, a: [p.cls("cls_i"), a["new"]],
+    "rename_property": _rename_property_args,
+    "insert_class": lambda p, a: [a["name"], (p.cls("sup_i"), p.cls("sub_i"))],
+    "delete_class_2": lambda p, a: [p.cls("cls_i")],
+}
+
+
+def _oracle_schema_op(model: RefModel, op: str, view: str, args: list) -> None:
+    """The oracle's twin of ``ViewHandle.<op>(*args)``: the same method,
+    except that the oracle folds the four property ops into
+    ``add_property``/``delete_property``."""
+    if op == "add_attribute":
+        name, to, domain, required, default = args
+        model.add_property(view, to, Spec(name, "attr", domain, required, default))
+    elif op == "add_method":
+        name, to, _body = args
+        model.add_property(view, to, Spec(name, "method"))
+    elif op in ("delete_attribute", "delete_method"):
+        name, from_ = args
+        kind = "attr" if op == "delete_attribute" else "method"
+        model.delete_property(view, from_, name, kind)
+    else:
+        getattr(model, op)(view, *args)
 
 
 class DifferentialHarness:
@@ -151,9 +312,6 @@ class DifferentialHarness:
         self.apps: Dict[int, Tuple[str, int]] = {}
         self.step = 0
         self.outcomes: List[Tuple[int, str, str]] = []
-        # the equivalence sweep reads each view in bulk (one latched read
-        # per view, schema-derived plans cached across steps)
-        self._dump_plans: Dict[tuple, list] = {}
         # sweep memo: commands that provably changed nothing observable
         # (read-only selects, rejected updates) reuse the previous sweep's
         # verdict.  The key covers both sides' change counters plus a
@@ -203,7 +361,7 @@ class DifferentialHarness:
         try:
             try:
                 if op in _PREP_OPS:
-                    prep = self._prepare(op, args)
+                    prep = self._prepare(command)
                     outcome = (
                         "skipped" if prep is None else self._two_sided(op, *prep)
                     )
@@ -289,11 +447,76 @@ class DifferentialHarness:
             f"real rejected ({type(real_err).__name__}: {real_err}), oracle applied",
         )
 
-    def _prepare(self, op: str, args: dict):
-        """Resolve a command's blind indices against the oracle and return
-        ``(real_fn, oracle_fn)``, or ``None`` when a reference cannot be
-        resolved (an agreed skip on both systems)."""
-        return getattr(self, f"_prep_{op}")(args)
+    def _prepare(self, command: Command):
+        """Resolve an update, schema or authoring command's blind indices
+        against the oracle and return ``(real_fn, oracle_fn)``, or ``None``
+        when a reference cannot be resolved (an agreed skip on both
+        systems)."""
+        op, args = command.op, command.args
+        if op in AUTHORING_OPS:
+            return getattr(self, f"_prep_{op}")(args)
+        view = self._r_view(args["view_i"])
+        if view is None:
+            return None
+        if op in UPDATE_OPS:
+            return self._prepare_update(view, None, command)
+        try:
+            call_args = _SCHEMA_ARGS[op](
+                _Picker(self.model, view, None, args), args
+            )
+        except _Skip:
+            return None
+
+        def real():
+            return getattr(self.db.view(view), op)(*call_args)
+
+        return real, lambda _value: _oracle_schema_op(
+            self.model, op, view, call_args
+        )
+
+    def _resolve_update(self, view: str, version, command: Command):
+        """The resolver every generic update goes through: ``command``'s
+        blind indices read against the oracle's bindings of ``view`` at
+        ``version`` (``None``: the current version), as the view-vocabulary
+        dict :meth:`TseDatabase.apply_view_updates` takes — or ``None``
+        for an agreed skip."""
+        op, args = command.op, command.args
+        picker = _Picker(self.model, view, version, args)
+        try:
+            cls = picker.cls("cls_i")
+            update = {"op": op, "class": cls}
+            if op == "create":
+                attrs = self.model.attribute_names(view, cls, version)
+                update["values"] = {
+                    attrs[i % len(attrs)]: value
+                    for i, value in args["assigns"]
+                    if attrs
+                }
+                return update
+            source = cls
+            if op == "add":
+                source = update["from"] = picker.cls("src_cls_i")
+            oid = picker.names("extent_oids", source, "obj_i")
+            update["oids"] = [oid.value]
+            if op == "set":
+                attr = picker.names("attribute_names", cls, "attr_i")
+                update["values"] = {attr: args["value"]}
+            return update
+        except _Skip:
+            return None
+
+    def _prepare_update(self, view: str, version, command: Command):
+        """``(real_fn, oracle_fn)`` for one update through the current
+        handle (``version is None``) or a pinned one."""
+        update = self._resolve_update(view, version, command)
+        if update is None:
+            return None
+
+        def real():
+            handle = self.db.view(view)
+            return _write(handle if version is None else handle.pin(version), update)
+
+        return real, lambda oid: _oracle_write(self.model, view, version, update, oid)
 
     # -- index resolution (oracle observables are the address space) ----------
 
@@ -304,15 +527,6 @@ class DifferentialHarness:
 
     def _r_view(self, i) -> Optional[str]:
         return self._pick(self.model.view_names(), i)
-
-    def _r_class(self, view: str, i) -> Optional[str]:
-        return self._pick(self.model.class_names(view), i)
-
-    def _r_attr(self, view: str, cls: str, i) -> Optional[str]:
-        return self._pick(self.model.attribute_names(view, cls), i)
-
-    def _r_oid(self, view: str, cls: str, i):
-        return self._pick(self.model.extent_oids(view, cls), i)
 
     # -- authoring ------------------------------------------------------------
 
@@ -360,326 +574,6 @@ class DifferentialHarness:
 
         return real, oracle
 
-    # -- generic updates ------------------------------------------------------
-
-    def _prep_create(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        attrs = self.model.attribute_names(view, cls)
-        assigns: Dict[str, object] = {}
-        for i, value in args["assigns"]:
-            if attrs:
-                assigns[attrs[i % len(attrs)]] = value
-
-        def real():
-            return self.db.view(view)[cls].create(**assigns).oid
-
-        def oracle(oid):
-            self.model.create(view, cls, assigns, oid)
-
-        return real, oracle
-
-    def _prep_add(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        src = self._r_class(view, args["src_cls_i"])
-        dest = self._r_class(view, args["cls_i"])
-        if src is None or dest is None:
-            return None
-        oid = self._r_oid(view, src, args["obj_i"])
-        if oid is None:
-            return None
-
-        def real():
-            self.db.view(view)[src].get_object(oid).add_to(dest)
-
-        def oracle(_value):
-            self.model.add(view, dest, oid)
-
-        return real, oracle
-
-    def _prep_remove(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        if oid is None:
-            return None
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).remove_from(cls)
-
-        def oracle(_value):
-            self.model.remove(view, cls, oid)
-
-        return real, oracle
-
-    def _prep_set(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        attr = self._r_attr(view, cls, args["attr_i"])
-        if oid is None or attr is None:
-            return None
-        value = args["value"]
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).set(attr, value)
-
-        def oracle(_value):
-            self.model.set_values(view, cls, oid, {attr: value})
-
-        return real, oracle
-
-    def _prep_delete(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        oid = self._r_oid(view, cls, args["obj_i"])
-        if oid is None:
-            return None
-
-        def real():
-            self.db.view(view)[cls].get_object(oid).delete()
-
-        def oracle(_value):
-            self.model.delete(oid)
-
-        return real, oracle
-
-    # -- schema evolution -----------------------------------------------------
-
-    def _prep_add_attribute(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        to = self._r_class(view, args["to_i"])
-        if to is None:
-            return None
-        name, default = args["name"], args["default"]
-
-        def real():
-            self.db.view(view).add_attribute(name, to=to, default=default)
-
-        def oracle(_value):
-            self.model.add_property(view, to, Spec(name, "attr", "any", False, default))
-
-        return real, oracle
-
-    def _prep_add_method(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        to = self._r_class(view, args["to_i"])
-        if to is None:
-            return None
-        name = args["name"]
-
-        def real():
-            self.db.view(view).add_method(name, to=to, body=_noop_method)
-
-        def oracle(_value):
-            self.model.add_property(view, to, Spec(name, "method"))
-
-        return real, oracle
-
-    def _prep_delete_attribute(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        attr = self._r_attr(view, cls, args["attr_i"])
-        if attr is None:
-            return None
-
-        def real():
-            self.db.view(view).delete_attribute(attr, from_=cls)
-
-        def oracle(_value):
-            self.model.delete_property(view, cls, attr, "attr")
-
-        return real, oracle
-
-    def _prep_delete_method(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        meth = self._pick(self.model.method_names(view, cls), args["meth_i"])
-        if meth is None:
-            return None
-
-        def real():
-            self.db.view(view).delete_method(meth, from_=cls)
-
-        def oracle(_value):
-            self.model.delete_property(view, cls, meth, "method")
-
-        return real, oracle
-
-    def _prep_add_edge(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        sup = self._r_class(view, args["sup_i"])
-        sub = self._r_class(view, args["sub_i"])
-        if sup is None or sub is None:
-            return None
-
-        def real():
-            self.db.view(view).add_edge(sup, sub)
-
-        def oracle(_value):
-            self.model.add_edge(view, sup, sub)
-
-        return real, oracle
-
-    def _prep_delete_edge(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        sup = self._r_class(view, args["sup_i"])
-        sub = self._r_class(view, args["sub_i"])
-        if sup is None or sub is None:
-            return None
-        conn = None
-        if args.get("connect"):
-            conn = self._pick(self.model.ancestors(view, sup), args["conn_i"])
-
-        def real():
-            self.db.view(view).delete_edge(sup, sub, connected_to=conn)
-
-        def oracle(_value):
-            self.model.delete_edge(view, sup, sub, conn)
-
-        return real, oracle
-
-    def _prep_add_class(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        conn = None
-        if args.get("connect"):
-            conn = self._r_class(view, args["conn_i"])
-        name = args["name"]
-
-        def real():
-            self.db.view(view).add_class(name, connected_to=conn)
-
-        def oracle(_value):
-            self.model.add_class(view, name, connected_to=conn)
-
-        return real, oracle
-
-    def _prep_delete_class(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-
-        def real():
-            self.db.view(view).delete_class(cls)
-
-        def oracle(_value):
-            self.model.delete_class(view, cls)
-
-        return real, oracle
-
-    def _prep_rename_class(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        new = args["new"]
-
-        def real():
-            self.db.view(view).rename_class(cls, new)
-
-        def oracle(_value):
-            self.model.rename_class(view, cls, new)
-
-        return real, oracle
-
-    def _prep_rename_property(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-        props = sorted(
-            self.model.attribute_names(view, cls) + self.model.method_names(view, cls)
-        )
-        old = self._pick(props, args["prop_i"])
-        if old is None:
-            return None
-        new = args["new"]
-
-        def real():
-            self.db.view(view).rename_property(cls, old, new)
-
-        def oracle(_value):
-            self.model.rename_property(view, cls, old, new)
-
-        return real, oracle
-
-    def _prep_insert_class(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        sup = self._r_class(view, args["sup_i"])
-        sub = self._r_class(view, args["sub_i"])
-        if sup is None or sub is None:
-            return None
-        name = args["name"]
-
-        def real():
-            self.db.view(view).insert_class(name, (sup, sub))
-
-        def oracle(_value):
-            self.model.insert_class(view, name, (sup, sub))
-
-        return real, oracle
-
-    def _prep_delete_class_2(self, args):
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        cls = self._r_class(view, args["cls_i"])
-        if cls is None:
-            return None
-
-        def real():
-            self.db.view(view).delete_class_2(cls)
-
-        def oracle(_value):
-            self.model.delete_class_2(view, cls)
-
-        return real, oracle
-
     # ------------------------------------------------------------------
     # durability commands
     # ------------------------------------------------------------------
@@ -711,7 +605,7 @@ class DifferentialHarness:
             self.db.wal.injector = None
             return "applied"  # pragma: no cover - checkpoint always hits its seams
         inner = command_from_dict(args["inner"])
-        prep = self._prepare(inner.op, dict(inner.args))
+        prep = self._prepare(inner)
         if prep is None:
             return "skipped"
         real_fn, oracle_fn = prep
@@ -776,7 +670,6 @@ class DifferentialHarness:
     def _install_recovered(self, recovered) -> None:
         self.readers.clear()
         self.pins.clear()
-        self._dump_plans.clear()  # plans hold closures over the dead db
         self._db_incarnation += 1  # force a fresh sweep of the recovered db
         self.db = self._fresh_db(recovered)
         if self.model.sessions_attached:
@@ -811,7 +704,7 @@ class DifferentialHarness:
         return "aborted"
 
     def _apply_inner(self, command: Command) -> None:
-        prep = self._prepare(command.op, dict(command.args))
+        prep = self._prepare(command)
         if prep is not None:
             self._two_sided(command.op, *prep)
 
@@ -820,40 +713,45 @@ class DifferentialHarness:
     # ------------------------------------------------------------------
 
     def _op_apply_many(self, args) -> str:
-        """One real ``db.apply_many`` batch vs the oracle.
+        """One batch of generic updates vs the oracle.
 
-        Every inner update resolves its blind indices against the
-        *pre-batch* oracle state (batches contain only generic updates, so
-        the schema is stable throughout) into an engine-level spec plus an
-        oracle closure.  The real side then runs the whole batch through
-        the batched API — single latch acquisition, one WAL group commit —
-        and the outcomes must agree *as a batch*:
+        Every inner update resolves against the *pre-batch* oracle state
+        (batches contain only generic updates, so the schema is stable
+        throughout) into a view-vocabulary update dict.  The real side
+        applies the batch through ``db.apply_view_updates`` — the facade
+        the server's ``apply_many`` request writes through.  A batch may
+        span views: each run of updates on one view is one facade call,
+        and the calls share one savepoint, so the batch stays
+        all-or-nothing.  The outcomes must agree *as a batch*:
 
         * real applied everything → the oracle must apply every update
           (feeding real create OIDs in order);
         * real raised (rolling the whole batch back) → replaying the
-          updates on a throwaway deep-copied shadow must hit an
-          ``OracleReject`` somewhere, proving the oracle agrees the batch
-          contained a rejected update; the shadow is discarded either way.
+          updates on a throwaway shadow must hit an ``OracleReject``
+          somewhere, proving the oracle agrees the batch contained a
+          rejected update; the shadow is discarded either way.
         """
-        inner = [command_from_dict(d) for d in args["inner"]]
-        specs: List[tuple] = []
-        oracle_fns: List[Callable] = []
-        for cmd in inner:
-            built = self._prep_batch_item(cmd)
-            if built is not None:
-                spec, fn = built
-                specs.append(spec)
-                oracle_fns.append(fn)
-        if not specs:
+        batch: List[Tuple[str, dict]] = []
+        for inner in args["inner"]:
+            command = command_from_dict(inner)
+            view = self._r_view(command.args["view_i"])
+            update = None if view is None else self._resolve_update(view, None, command)
+            if update is not None:
+                batch.append((view, update))
+        if not batch:
             return "skipped"
+        reports: List[dict] = []
         try:
-            results = self.db.apply_many(specs)
+            with self.db.transaction():
+                for view, run in groupby(batch, key=itemgetter(0)):
+                    reports += self.db.apply_view_updates(
+                        view, [update for _view, update in run]
+                    )
         except TseError as exc:
             shadow = self.model.clone_for_updates()
             try:
-                for index, fn in enumerate(oracle_fns):
-                    fn(shadow, f"batch-dummy-{index}")
+                for index, (view, update) in enumerate(batch):
+                    _oracle_write(shadow, view, None, update, f"batch-dummy-{index}")
             except OracleReject:
                 return "rejected"  # whole batch rolled back on both sides
             raise Divergence(
@@ -861,11 +759,12 @@ class DifferentialHarness:
                 "apply_many",
                 self.step,
                 f"real rolled the batch back ({type(exc).__name__}: {exc}), "
-                f"oracle applied all {len(specs)} updates",
+                f"oracle applied all {len(batch)} updates",
             )
-        for index, fn in enumerate(oracle_fns):
+        for index, ((view, update), report) in enumerate(zip(batch, reports)):
+            oid = Oid(report["oid"]) if "oid" in report else None
             try:
-                fn(self.model, results[index])
+                _oracle_write(self.model, view, None, update, oid)
             except OracleReject as exc:
                 raise Divergence(
                     "outcome",
@@ -875,97 +774,6 @@ class DifferentialHarness:
                     f"#{index}: {exc}",
                 )
         return "applied"
-
-    def _prep_batch_item(self, command: Command):
-        """Resolve one batch update into ``(engine_spec, oracle_fn)``.
-
-        ``engine_spec`` is the ``(op, kwargs)`` pair ``apply_many`` feeds
-        the update engine; ``oracle_fn(model, real_value)`` applies the
-        same update to a reference model.  Name translation (view class →
-        global class, visible property → underlying property) happens here
-        because batches carry no schema changes — the pre-batch schema is
-        the schema every update sees.  Returns ``None`` for an
-        unresolvable reference (agreed skip, as in :meth:`_prepare`).
-        """
-        op, args = command.op, dict(command.args)
-        view = self._r_view(args["view_i"])
-        if view is None:
-            return None
-        if op == "create":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            attrs = self.model.attribute_names(view, cls)
-            assigns: Dict[str, object] = {}
-            for i, value in args["assigns"]:
-                if attrs:
-                    assigns[attrs[i % len(attrs)]] = value
-            handle = self.db.view(view)[cls]
-            translated = {
-                handle._underlying(name): value for name, value in assigns.items()
-            }
-            spec = ("create", {"class_name": handle.global_name, "assignments": translated})
-            return spec, lambda model, value: model.create(view, cls, assigns, value)
-        if op == "add":
-            src = self._r_class(view, args["src_cls_i"])
-            dest = self._r_class(view, args["cls_i"])
-            if src is None or dest is None:
-                return None
-            oid = self._r_oid(view, src, args["obj_i"])
-            if oid is None:
-                return None
-            global_dest = self.db.view(view)[dest].global_name
-            spec = ("add", {"oids": [oid], "class_name": global_dest})
-            return spec, lambda model, _value: model.add(view, dest, oid)
-        if op == "remove":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            if oid is None:
-                return None
-            global_cls = self.db.view(view)[cls].global_name
-            spec = ("remove", {"oids": [oid], "class_name": global_cls})
-            return spec, lambda model, _value: model.remove(view, cls, oid)
-        if op == "set":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            attr = self._r_attr(view, cls, args["attr_i"])
-            if oid is None or attr is None:
-                return None
-            value = args["value"]
-            handle = self.db.view(view)[cls]
-            spec = (
-                "set",
-                {
-                    "oids": [oid],
-                    "class_name": handle.global_name,
-                    "assignments": {handle._underlying(attr): value},
-                },
-            )
-            return spec, lambda model, _value: model.set_values(
-                view, cls, oid, {attr: value}
-            )
-        if op == "delete":
-            cls = self._r_class(view, args["cls_i"])
-            if cls is None:
-                return None
-            oid = self._r_oid(view, cls, args["obj_i"])
-            if oid is None:
-                return None
-
-            def oracle_delete(model, _value, _oid=oid):
-                # the engine rejects deleting a dead object (the whole
-                # batch rolls back); RefModel.delete is a silent no-op, so
-                # mirror the engine's liveness guard here
-                if _oid not in model.objects:
-                    raise OracleReject(f"object {_oid!r} is already deleted")
-                model.delete(_oid)
-
-            return ("delete", {"oids": [oid]}), oracle_delete
-        raise ValueError(f"unexpected batch op {op!r}")  # pragma: no cover
 
     # ------------------------------------------------------------------
     # lazy-migration drains
@@ -1102,25 +910,23 @@ class DifferentialHarness:
             return "skipped"
         view, version = binding
         try:
-            dump = self.db.view(view).pin(version).dump(self._dump_plans)
+            dump = self.db.view(view).pin(version).dump()
         except TseError as exc:
             raise Divergence(
                 "pinned-read", "read_via_version", self.step,
                 f"app {app}: pinned read of {view!r} v{version} raised "
                 f"{type(exc).__name__}: {exc}",
             )
-        oracle_dump = self.model.dump(view, version=version)
-        if (
-            dump["version"] != oracle_dump["version"]
-            or sorted(dump["classes"]) != oracle_dump["classes"]
-            or dump["by_class"] != oracle_dump["by_class"]
-            or self._closure(dump["edges"])
-            != self.model.anc_pairs(view, version)
-        ):
+        difference = self._first_difference(
+            view,
+            dump,
+            self.model.dump(view, version=version),
+            self.model.anc_pairs(view, version),
+        )
+        if difference is not None:
             raise Divergence(
                 "observe:pinned_dump", "read_via_version", self.step,
-                f"app {app}: {view!r} v{version}: real {dump!r} != oracle "
-                f"{oracle_dump!r}",
+                f"app {app}: {view!r} v{version}: {': '.join(difference)}",
             )
         return "applied"
 
@@ -1134,94 +940,10 @@ class DifferentialHarness:
         if binding is None:
             return "skipped"
         view, version = binding
-        prep = self._prep_pinned_write(
-            view, version, command_from_dict(args["inner"])
-        )
+        prep = self._prepare_update(view, version, command_from_dict(args["inner"]))
         if prep is None:
             return "skipped"
         return self._two_sided("write_via_version", *prep)
-
-    def _prep_pinned_write(self, view: str, version: int, inner: Command):
-        """Resolve one update's blind indices against the oracle's bindings
-        *at the pinned version* (class names, attribute aliases, and extents
-        as that version sees them)."""
-        model = self.model
-        op, args = inner.op, dict(inner.args)
-        cls = self._pick(model.class_names(view, version), args.get("cls_i", 0))
-        if cls is None:
-            return None  # pragma: no cover - views are never empty
-        handle = lambda c: self.db.view(view).pin(version)[c]
-        if op == "create":
-            attrs = model.attribute_names(view, cls, version)
-            assigns: Dict[str, object] = {}
-            for i, value in args["assigns"]:
-                if attrs:
-                    assigns[attrs[i % len(attrs)]] = value
-
-            def real():
-                return handle(cls).create(**assigns).oid
-
-            def oracle(oid):
-                model.create(view, cls, assigns, oid, version=version)
-
-            return real, oracle
-        if op == "add":
-            src = self._pick(
-                model.class_names(view, version), args["src_cls_i"]
-            )
-            if src is None:
-                return None  # pragma: no cover - views are never empty
-            oid = self._pick(
-                model.extent_oids(view, src, version), args["obj_i"]
-            )
-            if oid is None:
-                return None
-
-            def real():
-                handle(src).get_object(oid).add_to(cls)
-
-            def oracle(_value):
-                model.add(view, cls, oid, version=version)
-
-            return real, oracle
-        oid = self._pick(model.extent_oids(view, cls, version), args["obj_i"])
-        if oid is None:
-            return None
-        if op == "remove":
-
-            def real():
-                handle(cls).get_object(oid).remove_from(cls)
-
-            def oracle(_value):
-                model.remove(view, cls, oid, version=version)
-
-            return real, oracle
-        if op == "set":
-            attr = self._pick(
-                model.attribute_names(view, cls, version), args["attr_i"]
-            )
-            if attr is None:
-                return None
-            value = args["value"]
-
-            def real():
-                handle(cls).get_object(oid).set(attr, value)
-
-            def oracle(_value):
-                model.set_values(view, cls, oid, {attr: value}, version=version)
-
-            return real, oracle
-        if op == "delete":
-
-            def real():
-                handle(cls).get_object(oid).delete()
-
-            def oracle(_value):
-                model._check_writable(view, version)
-                model.delete(oid)
-
-            return real, oracle
-        raise ValueError(f"unexpected pinned write {op!r}")  # pragma: no cover
 
     def _op_roll_app(self, args) -> str:
         """Rolling upgrade: rebind the app slot to the successor version.
@@ -1321,14 +1043,60 @@ class DifferentialHarness:
                 frontier.extend(parents.get(anc, ()))
         return pairs
 
+    @classmethod
+    def _first_difference(
+        cls, view: str, real: dict, oracle: dict, oracle_pairs
+    ) -> Optional[Tuple[str, str]]:
+        """Walk a view's real and oracle dumps in one fixed order — classes,
+        version, is-a closure, then per class its attributes, methods,
+        extent, count and object values — and return the first
+        disagreement as ``(kind, detail)``, or ``None``.  The order fixes
+        which kind a divergence reports, which is what ddmin preserves."""
+        classes = sorted(real["classes"])
+        if classes != oracle["classes"]:
+            return "classes", f"{view!r}: real {classes} != oracle {oracle['classes']}"
+        if real["version"] != oracle["version"]:
+            return (
+                "version",
+                f"{view!r}: real v{real['version']} != oracle v{oracle['version']}",
+            )
+        real_pairs = cls._closure(real["edges"])
+        if real_pairs != oracle_pairs:
+            return (
+                "edges",
+                f"{view!r}: is-a closure differs: real-only "
+                f"{sorted(real_pairs - oracle_pairs)}, oracle-only "
+                f"{sorted(oracle_pairs - real_pairs)}",
+            )
+        if real["by_class"] == oracle["by_class"]:
+            return None
+        for name in classes:
+            mine, theirs = real["by_class"][name], oracle["by_class"][name]
+            if mine == theirs:
+                continue
+            for kind in ("attributes", "methods", "extent", "count"):
+                if mine[kind] != theirs[kind]:
+                    return (
+                        kind,
+                        f"{view!r}.{name!r}: real {mine[kind]} != oracle {theirs[kind]}",
+                    )
+            for oid in theirs["extent"]:
+                if mine["objects"][oid] != theirs["objects"][oid]:
+                    return (
+                        "values",
+                        f"{view!r}.{name!r} object {oid}: real "
+                        f"{mine['objects'][oid]} != oracle {theirs['objects'][oid]}",
+                    )
+        return None
+
     def _check_equivalence(self, op: str) -> None:
         """Compare every observable of every view against the oracle.
 
         Each view is read through one ``ViewHandle.dump()`` — a single
-        latched resolution per view — and compared whole; only a view
-        that disagrees is drilled down observable by observable to name
-        the divergence.  ``tests/test_view_dump.py`` checks that ``dump()``
-        answers exactly what the per-call accessor surface does.
+        latched resolution per view — and walked against the oracle's dump
+        by :meth:`_first_difference`.  ``tests/test_view_dump.py`` checks
+        that ``dump()`` answers exactly what the per-call accessor surface
+        does.
         """
         def div(what: str, detail: str):
             raise Divergence(f"observe:{what}", op, self.step, detail)
@@ -1356,76 +1124,14 @@ class DifferentialHarness:
         if real_rows != oracle_rows:
             div("lifecycle", f"real {real_rows!r} != oracle {oracle_rows!r}")
         for view in real_views:
-            dump = self.db.view(view).dump(self._dump_plans)
-            oracle_dump = self.model.dump(view)
-            if (
-                dump["version"] == oracle_dump["version"]
-                and sorted(dump["classes"]) == oracle_dump["classes"]
-                and dump["by_class"] == oracle_dump["by_class"]
-                and self._closure(dump["edges"]) == self.model.anc_pairs(view)
-            ):
-                continue  # everything agrees; skip the drill-down
-            real_classes = sorted(dump["classes"])
-            real_version = dump["version"]
-            if real_classes != self.model.class_names(view):
-                div(
-                    "classes",
-                    f"{view!r}: real {real_classes} != oracle "
-                    f"{self.model.class_names(view)}",
-                )
-            if real_version != self.model.version(view):
-                div(
-                    "version",
-                    f"{view!r}: real v{real_version} != oracle "
-                    f"v{self.model.version(view)}",
-                )
-            real_pairs = self._closure(dump["edges"])
-            oracle_pairs = self.model.anc_pairs(view)
-            if real_pairs != oracle_pairs:
-                div(
-                    "edges",
-                    f"{view!r}: is-a closure differs: real-only "
-                    f"{sorted(real_pairs - oracle_pairs)}, oracle-only "
-                    f"{sorted(oracle_pairs - real_pairs)}",
-                )
-            for cls in real_classes:
-                entry = dump["by_class"][cls]
-                real_attrs = entry["attributes"]
-                real_methods = entry["methods"]
-                real_extent = entry["extent"]
-                real_count = entry["count"]
-                if real_attrs != self.model.attribute_names(view, cls):
-                    div(
-                        "attributes",
-                        f"{view!r}.{cls!r}: real {real_attrs} != oracle "
-                        f"{self.model.attribute_names(view, cls)}",
-                    )
-                if real_methods != self.model.method_names(view, cls):
-                    div(
-                        "methods",
-                        f"{view!r}.{cls!r}: real {real_methods} != oracle "
-                        f"{self.model.method_names(view, cls)}",
-                    )
-                extent = self.model.extent_oids(view, cls)
-                if real_extent != extent:
-                    div(
-                        "extent",
-                        f"{view!r}.{cls!r}: real {real_extent} != oracle {extent}",
-                    )
-                if real_count != len(extent):
-                    div(
-                        "count",
-                        f"{view!r}.{cls!r}: count {real_count} != {len(extent)}",
-                    )
-                for oid in extent:
-                    real_values = entry["objects"][oid]
-                    oracle_values = self.model.object_values(view, cls, oid)
-                    if real_values != oracle_values:
-                        div(
-                            "values",
-                            f"{view!r}.{cls!r} object {oid}: real {real_values} "
-                            f"!= oracle {oracle_values}",
-                        )
+            difference = self._first_difference(
+                view,
+                self.db.view(view).dump(),
+                self.model.dump(view),
+                self.model.anc_pairs(view),
+            )
+            if difference is not None:
+                div(*difference)
         self._last_sweep_key = state_key
 
 

@@ -82,7 +82,9 @@ class SchemaLatch:
                 del self._readers[me]
             else:
                 self._readers[me] = depth - 1
-            if not self._readers:
+            # while a writer holds the latch the only readers are its own
+            # nested reads, and their release can admit no waiter
+            if not self._readers and self._writer is None:
                 self._cond.notify_all()
 
     @contextmanager

@@ -41,9 +41,10 @@ between the seal decision and the mutation landing.
 
 Lazy capture is the only publish path; the from-scratch
 :class:`~repro.schema.extents.ExtentEvaluator` and the differential oracle
-are what its captures are checked against.  ``REPRO_MIGRATION_BACKFILL=off``
-keeps lazy capture but disables the background worker (tests drive
-:meth:`backfill_step` deterministically instead).
+are what its captures are checked against.  ``db.migration_backfill =
+False`` (before ``db.sessions()``) keeps lazy capture but disables the
+background worker (tests drive :meth:`backfill_step` deterministically
+instead).
 """
 
 from __future__ import annotations

@@ -27,7 +27,6 @@ torn intermediate.
 
 from __future__ import annotations
 
-import os
 import threading
 from typing import Dict, List, Optional
 
@@ -172,17 +171,12 @@ class SessionManager:
         self.writers_opened = 0
         self._counter_mutex = threading.Lock()
         # epochs publish with pending extents and the MigrationEngine
-        # captures them off the writer's critical path.  A
-        # db.migration_backfill attribute overrides the env toggle — the
-        # differential harness needs the worker off (deterministic drains
-        # only) without mutating process-global state
-        backfill = getattr(db, "migration_backfill", None)
-        if backfill is None:
-            backfill = (
-                os.environ.get("REPRO_MIGRATION_BACKFILL", "").strip().lower()
-                not in ("off", "0", "false", "no")
-            )
-        self.migration = MigrationEngine(db, self.latch, backfill=bool(backfill))
+        # captures them off the writer's critical path, in a background
+        # worker unless the database turned it off (the differential
+        # harness drains deterministically instead)
+        self.migration = MigrationEngine(
+            db, self.latch, backfill=bool(db.migration_backfill)
+        )
         self.epochs = EpochManager(db, self.migration)
         # the pre-mutation seal hook: pool leaf mutators consult the
         # engine before changing membership or values

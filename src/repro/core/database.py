@@ -94,6 +94,11 @@ class TseDatabase:
         #: ``None`` until :meth:`sessions` creates it — single-threaded use
         #: pays nothing for it
         self._sessions = None
+        #: whether the session layer's lazy migration drains epoch backlogs
+        #: in a background worker; set before :meth:`sessions` attaches it
+        #: (off, only first-touch reads, pre-mutation seals and explicit
+        #: ``backfill_step`` calls capture)
+        self.migration_backfill = True
         #: outcome counters of :meth:`transaction` savepoints
         self.commits = 0
         self.aborts = 0
@@ -583,7 +588,10 @@ class TseDatabase:
         takes a mark in it, and a rollback undoes the block's writes
         newest-first.  Savepoints nest; an inner rollback undoes back to
         its own mark only, and the journal is dropped when the outermost
-        savepoint ends.
+        savepoint ends.  The journal is the database's, not the thread's:
+        with the session layer attached, a savepoint holds the writer side
+        of the schema latch for its whole block, so two threads'
+        savepoints never interleave.
 
         ::
 
@@ -592,36 +600,42 @@ class TseDatabase:
                 view["C"].create(x=1)
                 raise RuntimeError()   # everything above is undone
         """
-        from contextlib import contextmanager
+        from contextlib import contextmanager, nullcontext
 
         @contextmanager
         def scope():
-            tracer = self.obs.tracer
-            outermost = self.pool.journal is None
-            try:
-                checkpoint = self._checkpoint()
-                if self.wal is not None:
-                    self.wal.begin_savepoint()
+            # the undo journal, the WAL buffer marks and the commit/abort
+            # counters are per database, so once threads are in play
+            # (``sessions()``) a savepoint holds the writer side of the
+            # schema latch; it is owner re-entrant, so nesting is free
+            sessions = self._sessions
+            with sessions.latch.write() if sessions is not None else nullcontext():
+                tracer = self.obs.tracer
+                outermost = self.pool.journal is None
                 try:
-                    yield self
-                except BaseException:
-                    with tracer.span("abort", scope="savepoint"):
-                        self._restore(checkpoint)
+                    checkpoint = self._checkpoint()
                     if self.wal is not None:
-                        # abort is a no-op on disk: buffered records are dropped
-                        self.wal.abort_savepoint()
-                    self.aborts += 1
-                    raise
-                with tracer.span("commit", scope="savepoint"):
-                    # savepoint release: the WAL buffer (records journaled by
-                    # the block) reaches the disk here, in one barrier — this
-                    # closes the all-or-nothing unit of work
-                    if self.wal is not None:
-                        self.wal.commit_savepoint()
-                self.commits += 1
-            finally:
-                if outermost:
-                    self.pool.end_journal()
+                        self.wal.begin_savepoint()
+                    try:
+                        yield self
+                    except BaseException:
+                        with tracer.span("abort", scope="savepoint"):
+                            self._restore(checkpoint)
+                        if self.wal is not None:
+                            # abort is a no-op on disk: buffered records are dropped
+                            self.wal.abort_savepoint()
+                        self.aborts += 1
+                        raise
+                    with tracer.span("commit", scope="savepoint"):
+                        # savepoint release: the WAL buffer (records journaled by
+                        # the block) reaches the disk here, in one barrier — this
+                        # closes the all-or-nothing unit of work
+                        if self.wal is not None:
+                            self.wal.commit_savepoint()
+                    self.commits += 1
+                finally:
+                    if outermost:
+                        self.pool.end_journal()
 
         return scope()
 
@@ -642,7 +656,8 @@ class TseDatabase:
         The batch pays its fixed costs once instead of per update:
 
         * the schema latch (when the session layer is attached) is taken
-          once on the read side for the whole batch, so no schema change
+          once on the write side for the whole batch — by the savepoint —
+          so neither a schema change nor another thread's batch
           interleaves mid-batch;
         * the WAL sees **one group commit** — the batch runs inside a
           savepoint, whose release emits a single composite ``txn`` record
@@ -650,8 +665,6 @@ class TseDatabase:
         * failure anywhere rolls the whole batch back (savepoint restore)
           and re-raises — all-or-nothing, matching what recovery replays.
         """
-        from contextlib import nullcontext
-
         engine = self.engine
         dispatch = {
             "create": engine.create,
@@ -672,13 +685,9 @@ class TseDatabase:
                 )
             calls.append((fn, dict(kwargs)))
         results: List[object] = []
-        latch = (
-            self._sessions.latch.read() if self._sessions is not None else nullcontext()
-        )
-        with latch:
-            with self.transaction():
-                for fn, kwargs in calls:
-                    results.append(fn(**kwargs))
+        with self.transaction():
+            for fn, kwargs in calls:
+                results.append(fn(**kwargs))
         return results
 
     def _checkpoint(self) -> dict:

@@ -19,15 +19,12 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from repro.errors import NotAMember, UnknownProperty
 from repro.algebra import compiler as compilermod
 from repro.algebra.expressions import Predicate
-from repro.schema.extents import attribute_reader, read_attribute, read_path
+from repro.schema.extents import read_attribute, read_path
 from repro.schema.properties import Attribute, Method
 from repro.schema import types as typemod
 from repro.schema.types import Ambiguity
 from repro.storage.oid import Oid
 from repro.views.schema import ViewSchema
-
-#: sentinel distinguishing "attribute never written" from a stored None
-_ABSENT = object()
 
 #: sort key for OID sequences — same order as ``Oid.__lt__`` but dispatched
 #: at C level (the Python-level rich comparison dominates dump profiles)
@@ -50,6 +47,51 @@ def _latched_read(db, resolve):
         return resolve()
     with sessions.latch.read():
         return resolve()
+
+
+def _view_schema(db, view_name: str, pinned_version: Optional[int]) -> ViewSchema:
+    """The view version a handle answers through: the current one, or the
+    pinned historical one."""
+    if pinned_version is not None:
+        return db.views.history.version(view_name, pinned_version)
+    return db.views.current(view_name)
+
+
+def _class_properties(db, view: ViewSchema, view_class: str, global_name: str):
+    """A view class's properties in view vocabulary: ``(attributes,
+    methods, columns)``, the sorted visible attribute and method names and
+    ``(visible alias, column reader)`` per unambiguous attribute.
+
+    The evaluator's plans walk the global class's type map once per schema
+    generation (``ReaderPlans.properties``); this only applies the view's
+    property renames, if the class has any."""
+    plans = db.evaluator.plans
+    attributes, methods, columns = plans.properties(global_name)
+    if view_class not in view.property_renames:
+        return list(attributes), list(methods), columns
+
+    def alias(name: str) -> str:
+        return view.property_alias(view_class, name)
+
+    def reader(visible: str):
+        return plans.oid_reader(global_name, view.visible_property(view_class, visible))
+
+    visible = [alias(name) for name, _read in columns]
+    return (
+        sorted(map(alias, attributes)),
+        sorted(map(alias, methods)),
+        [(name, reader(name)) for name in visible],
+    )
+
+
+def _rows(oids: Iterable[Oid], columns) -> Dict[Oid, Dict[str, object]]:
+    """Each object's values for ``columns`` (from :func:`_class_properties`)."""
+    rows: Dict[Oid, Dict[str, object]] = {}
+    for oid in oids:
+        row = rows[oid] = {}
+        for alias, read in columns:
+            row[alias] = read(oid)
+    return rows
 
 
 class ViewHandle:
@@ -80,15 +122,10 @@ class ViewHandle:
     def schema(self) -> ViewSchema:
         """The current version (re-resolved on every access) or, for a
         pinned handle, the pinned historical version."""
-
-        def resolve() -> ViewSchema:
-            if self.pinned_version is not None:
-                return self._db.views.history.version(
-                    self.view_name, self.pinned_version
-                )
-            return self._db.views.current(self.view_name)
-
-        return _latched_read(self._db, resolve)
+        return _latched_read(
+            self._db,
+            lambda: _view_schema(self._db, self.view_name, self.pinned_version),
+        )
 
     def pin(self, version: Optional[int] = None) -> "ViewHandle":
         """A handle pinned to ``version`` (default: the version current
@@ -120,7 +157,7 @@ class ViewHandle:
     def describe(self) -> str:
         return self.schema.describe()
 
-    def dump(self, plan_cache: Optional[dict] = None) -> Dict[str, object]:
+    def dump(self) -> Dict[str, object]:
         """Every observable the view exposes, in one latched resolution.
 
         Returns ``{"version", "classes", "edges", "by_class"}`` where
@@ -129,129 +166,39 @@ class ViewHandle:
         exactly what the per-call accessors (:meth:`version`,
         :meth:`class_names`, :meth:`edges`,
         ``ViewClassHandle.attribute_names`` / ``method_names`` /
-        ``extent_oids`` / ``count`` / ``dump_objects``) would answer,
-        but resolved against one consistent schema snapshot instead of
-        re-resolving per call.  The differential harness sweeps every
-        observable after every step; this keeps that sweep linear in the
-        data instead of in the number of accessor calls.
-
-        ``plan_cache``, when given, is a caller-owned dict that carries
-        the schema-derived part of the dump (attribute/method names and
-        alias translations per class) across calls; entries are keyed by
-        ``(view, version, schema generation)`` so any schema change takes
-        a fresh plan.  Object values are always read live.
+        ``extent_oids`` / ``count`` / ``dump_objects``) would answer, built
+        from the same helpers but resolved against one consistent schema
+        snapshot instead of re-resolving per call.  The differential
+        harness sweeps every observable after every step; this keeps that
+        sweep linear in the data instead of in the number of accessor
+        calls.
         """
+        db = self._db
 
         def resolve() -> Dict[str, object]:
-            if self.pinned_version is not None:
-                view = self._db.views.history.version(
-                    self.view_name, self.pinned_version
-                )
-            else:
-                view = self._db.views.current(self.view_name)
-            schema = self._db.schema
-            evaluator = self._db.evaluator
-            pool = self._db.pool
-            store_get = pool.store.get_value
-            make_reader = evaluator.plans.reader
-            key = (self.view_name, view.version, schema.generation)
-            plan = None if plan_cache is None else plan_cache.get(key)
-            if plan is None:
-                class_plan = []
-                for view_class in view.class_names():
-                    global_name = view.global_name_of(view_class)
-                    attrs: List[str] = []
-                    methods: List[str] = []
-                    # non-ambiguous attributes, resolved once per plan:
-                    # (alias, underlying, (storage_class, bare, default)|None)
-                    # — the triple drives a direct slice read per object,
-                    # None falls back to the generic planned reader
-                    columns = []
-                    type_map = schema.type_of(global_name)
-                    for name, entry in type_map.items():
-                        ambiguous = isinstance(entry, Ambiguity)
-                        candidates = entry.candidates if ambiguous else (entry,)
-                        alias = view.property_alias(view_class, name)
-                        if any(isinstance(c.prop, Attribute) for c in candidates):
-                            attrs.append(alias)
-                        if any(isinstance(c.prop, Method) for c in candidates):
-                            methods.append(alias)
-                        if not ambiguous and isinstance(entry.prop, Attribute):
-                            underlying = view.visible_property(view_class, alias)
-                            fast = None
-                            try:
-                                resolved = typemod.resolve_qualified(
-                                    type_map, underlying, class_name=global_name
-                                )
-                            except Exception:
-                                resolved = None
-                            if (
-                                resolved is not None
-                                and isinstance(resolved.prop, Attribute)
-                                and resolved.storage_class is not None
-                            ):
-                                fast = (
-                                    resolved.storage_class,
-                                    resolved.prop.name,
-                                    resolved.prop.default,
-                                )
-                            columns.append((alias, underlying, fast))
-                    class_plan.append(
-                        (view_class, global_name, sorted(attrs), sorted(methods),
-                         columns)
-                    )
-                # class/edge listings are schema-derived too: sort them once
-                # per plan instead of once per sweep
-                plan = (class_plan, view.class_names(), view.view_edges())
-                if plan_cache is not None:
-                    # drop this view's stale generations; other views'
-                    # entries stay live (their keys still match)
-                    for stale in [
-                        k for k in plan_cache
-                        if k[0] == self.view_name and k != key
-                    ]:
-                        del plan_cache[stale]
-                    plan_cache[key] = plan
-            class_plan, class_names, view_edges = plan
+            view = _view_schema(db, self.view_name, self.pinned_version)
             by_class: Dict[str, dict] = {}
-            for view_class, global_name, attrs, methods, columns in class_plan:
-                extent = sorted(evaluator.extent(global_name), key=_OID_VALUE)
-                objects = {}
-                for oid in extent:
-                    impls = pool.get(oid).implementations
-                    reader = None
-                    row = {}
-                    for alias, underlying, fast in columns:
-                        if fast is not None:
-                            storage, bare, default = fast
-                            impl = impls.get(storage)
-                            if impl is None:
-                                row[alias] = default
-                            else:
-                                value = store_get(impl.slice_id, bare, _ABSENT)
-                                row[alias] = (
-                                    default if value is _ABSENT else value
-                                )
-                        else:
-                            if reader is None:
-                                reader = make_reader(global_name, oid)
-                            row[alias] = reader(underlying)
-                    objects[oid] = row
+            for view_class in view.class_names():
+                global_name = view.global_name_of(view_class)
+                attributes, methods, columns = _class_properties(
+                    db, view, view_class, global_name
+                )
+                extent = sorted(db.evaluator.extent(global_name), key=_OID_VALUE)
                 by_class[view_class] = {
-                    "attributes": attrs,
+                    "attributes": attributes,
                     "methods": methods,
                     "extent": extent,
                     "count": len(extent),
-                    "objects": objects,
+                    "objects": _rows(extent, columns),
                 }
             return {
                 "version": view.version,
-                "classes": class_names,
-                "edges": view_edges,
+                "classes": view.class_names(),
+                "edges": view.view_edges(),
                 "by_class": by_class,
             }
 
-        return _latched_read(self._db, resolve)
+        return _latched_read(db, resolve)
 
     def __getitem__(self, view_class: str) -> "ViewClassHandle":
         self.schema.global_name_of(view_class)  # raises when unknown
@@ -453,14 +400,10 @@ class ViewClassHandle:
 
     @property
     def schema(self) -> ViewSchema:
-        def resolve() -> ViewSchema:
-            if self.pinned_version is not None:
-                return self._db.views.history.version(
-                    self.view_name, self.pinned_version
-                )
-            return self._db.views.current(self.view_name)
-
-        return _latched_read(self._db, resolve)
+        return _latched_read(
+            self._db,
+            lambda: _view_schema(self._db, self.view_name, self.pinned_version),
+        )
 
     @property
     def global_name(self) -> str:
@@ -476,23 +419,21 @@ class ViewClassHandle:
             names.append(view.property_alias(self.view_class, underlying))
         return sorted(names)
 
+    def _properties(self):
+        """:func:`_class_properties` of this class, in one latched read."""
+
+        def resolve():
+            view = _view_schema(self._db, self.view_name, self.pinned_version)
+            global_name = view.global_name_of(self.view_class)
+            return _class_properties(self._db, view, self.view_class, global_name)
+
+        return _latched_read(self._db, resolve)
+
     def attribute_names(self) -> List[str]:
-        view = self.schema
-        result = []
-        for name, entry in self._db.schema.type_of(self.global_name).items():
-            candidates = entry.candidates if isinstance(entry, Ambiguity) else (entry,)
-            if any(isinstance(c.prop, Attribute) for c in candidates):
-                result.append(view.property_alias(self.view_class, name))
-        return sorted(result)
+        return self._properties()[0]
 
     def method_names(self) -> List[str]:
-        view = self.schema
-        result = []
-        for name, entry in self._db.schema.type_of(self.global_name).items():
-            candidates = entry.candidates if isinstance(entry, Ambiguity) else (entry,)
-            if any(isinstance(c.prop, Method) for c in candidates):
-                result.append(view.property_alias(self.view_class, name))
-        return sorted(result)
+        return self._properties()[1]
 
     def _underlying(self, prop_name: str) -> str:
         return self.schema.visible_property(self.view_class, prop_name)
@@ -522,29 +463,15 @@ class ViewClassHandle:
 
         Equivalent to ``{oid: self.get_object(oid).values() for oid in
         self.extent_oids()}``, but the view, the type map, the alias
-        translations, and the per-attribute reader plans are resolved once
-        for the whole extent instead of once per object per attribute.
-        The differential harness's equivalence sweep reads every object
-        after every step, so this is its hot path.
+        translations, and the column readers are resolved once for the
+        whole extent instead of once per object per attribute.
         """
 
         def resolve() -> Dict[Oid, Dict[str, object]]:
-            view = self.schema
+            view = _view_schema(self._db, self.view_name, self.pinned_version)
             global_name = view.global_name_of(self.view_class)
-            columns = []  # (visible alias, underlying property name)
-            for name, entry in self._db.schema.type_of(global_name).items():
-                if isinstance(entry, Ambiguity):
-                    continue
-                if isinstance(entry.prop, Attribute):
-                    alias = view.property_alias(self.view_class, name)
-                    underlying = view.visible_property(self.view_class, alias)
-                    columns.append((alias, underlying))
-            make_reader = self._db.evaluator.plans.reader
-            result: Dict[Oid, Dict[str, object]] = {}
-            for oid in self._db.evaluator.extent(global_name):
-                reader = make_reader(global_name, oid)
-                result[oid] = {alias: reader(under) for alias, under in columns}
-            return result
+            columns = _class_properties(self._db, view, self.view_class, global_name)[2]
+            return _rows(self._db.evaluator.extent(global_name), columns)
 
         return _latched_read(self._db, resolve)
 
@@ -763,11 +690,7 @@ class ObjectHandle:
 
     @property
     def _view(self) -> ViewSchema:
-        if self.pinned_version is not None:
-            return self._db.views.history.version(
-                self.view_name, self.pinned_version
-            )
-        return self._db.views.current(self.view_name)
+        return _view_schema(self._db, self.view_name, self.pinned_version)
 
     @property
     def global_class(self) -> str:
@@ -805,14 +728,11 @@ class ObjectHandle:
 
     def values(self) -> Dict[str, object]:
         """All attribute values visible through this view class."""
-        result = {}
-        for name, entry in self._db.schema.type_of(self.global_class).items():
-            if isinstance(entry, Ambiguity):
-                continue
-            if isinstance(entry.prop, Attribute):
-                alias = self._view.property_alias(self.view_class, name)
-                result[alias] = self.get(alias)
-        return result
+        view = self._view
+        columns = _class_properties(
+            self._db, view, self.view_class, view.global_name_of(self.view_class)
+        )[2]
+        return {alias: self.get(alias) for alias, _read in columns}
 
     # -- methods ------------------------------------------------------------------
 

@@ -30,7 +30,7 @@ from repro.schema.classes import (
     VirtualClass,
 )
 from repro.schema.graph import GlobalSchema
-from repro.schema.properties import Attribute, ResolvedProperty
+from repro.schema.properties import Attribute, Method, ResolvedProperty
 from repro.schema import types as typemod
 from repro.storage.oid import Oid
 from repro.objectmodel.slicing import InstancePool, PoolDelta
@@ -182,22 +182,29 @@ class ReaderPlans:
       :func:`read_attribute` *per call*, so errors surface with identical
       type, message, and timing to the un-planned reader.
 
+    The same cache keeps each class's property listing
+    (:meth:`properties`), the walk every bulk read of a class starts from.
     A schema generation bump discards all plans (schema changes are rare
     next to the reads these plans serve).
     """
 
-    __slots__ = ("schema", "pool", "_generation", "_plans")
+    __slots__ = ("schema", "pool", "_generation", "_plans", "_properties")
 
     def __init__(self, schema: GlobalSchema, pool: InstancePool) -> None:
         self.schema = schema
         self.pool = pool
         self._generation = -1
         self._plans: Dict[str, Dict[str, Callable[[Oid], object]]] = {}
+        self._properties: Dict[str, tuple] = {}
+
+    def _new_generation(self) -> None:
+        self._plans = {}
+        self._properties = {}
+        self._generation = self.schema.generation
 
     def _class_plans(self, class_name: str) -> Dict[str, Callable[[Oid], object]]:
         if self._generation != self.schema.generation:
-            self._plans = {}
-            self._generation = self.schema.generation
+            self._new_generation()
         plans = self._plans.get(class_name)
         if plans is None:
             plans = self._plans[class_name] = {}
@@ -252,6 +259,36 @@ class ReaderPlans:
         if fn is None:
             fn = plans[attr_name] = self._resolve(class_name, attr_name)
         return fn
+
+    def properties(self, class_name: str) -> tuple:
+        """One walk over ``class_name``'s type map: ``(attributes, methods,
+        columns)``, the sorted names that resolve to an attribute or to a
+        method (an ambiguous name counts for every kind among its
+        candidates) and ``(name, oid_reader)`` per unambiguous attribute.
+
+        Cached for the schema generation; callers must not mutate it."""
+        if self._generation != self.schema.generation:
+            self._new_generation()
+        listing = self._properties.get(class_name)
+        if listing is None:
+            attributes: List[str] = []
+            methods: List[str] = []
+            columns = []
+            for name, entry in self.schema.type_of(class_name).items():
+                if isinstance(entry, typemod.Ambiguity):
+                    props = [candidate.prop for candidate in entry.candidates]
+                    if any(isinstance(prop, Attribute) for prop in props):
+                        attributes.append(name)
+                    if any(isinstance(prop, Method) for prop in props):
+                        methods.append(name)
+                elif isinstance(entry.prop, Attribute):
+                    attributes.append(name)
+                    columns.append((name, self.oid_reader(class_name, name)))
+                elif isinstance(entry.prop, Method):
+                    methods.append(name)
+            listing = (sorted(attributes), sorted(methods), columns)
+            self._properties[class_name] = listing
+        return listing
 
     def reader(self, class_name: str, oid: Oid) -> Callable[[str], object]:
         """A planned :data:`Reader` for one object in one class context —

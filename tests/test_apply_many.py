@@ -171,3 +171,62 @@ def test_corpus_pins_batches_across_a_schema_change():
     assert any(op in SCHEMA_OPS for op in ops[first:last]), (
         "expected a schema change between the first and last batch"
     )
+
+
+class TestConcurrentBatches:
+    def test_concurrent_batches_keep_every_commit(self, tmp_path):
+        """Savepoint nesting (the undo journal, the WAL buffer marks) is
+        per database, so two threads' batches must not interleave: one
+        thread commits 200 one-create batches while another issues 200
+        batches that fail on an unknown class after a create.  Every good
+        create survives, in memory and through recovery, and no batch
+        raises anything but the rejection."""
+        import sys
+        import threading
+
+        db = _university()
+        db.migration_backfill = False
+        db.enable_wal(str(tmp_path / "wal"), sync="off")
+        db.sessions()
+        unexpected = []
+
+        def committing():
+            for i in range(200):
+                try:
+                    db.apply_many(
+                        [("create", {"class_name": "Person", "assignments": {"age": i}})]
+                    )
+                except Exception as exc:  # pragma: no cover - the bug
+                    unexpected.append(exc)
+
+        def failing():
+            for i in range(200):
+                try:
+                    db.apply_many(
+                        [
+                            ("create", {"class_name": "Person", "assignments": {}}),
+                            ("create", {"class_name": "NoSuchClass", "assignments": {}}),
+                        ]
+                    )
+                except UnknownClass:
+                    pass
+                except Exception as exc:  # pragma: no cover - the bug
+                    unexpected.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=committing), threading.Thread(target=failing)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert unexpected == []
+        assert len(db.view("campus")["Person"].extent_oids()) == 200
+        db.wal.close()
+        recovered = TseDatabase.recover(str(tmp_path / "wal"), sync="off")
+        recovered.wal.close()
+        assert len(recovered.evaluator.extent("Person")) == 200

@@ -150,8 +150,8 @@ def _campus_with_wal_and_sessions(tmp_path):
 @pytest.mark.bench_smoke
 @pytest.mark.parametrize("k", [2, 32])
 def test_apply_many_pays_fixed_costs_once(k, tmp_path, monkeypatch):
-    """A batch of k updates takes one schema-latch read and one WAL
-    barrier, whatever k is."""
+    """A batch of k updates takes one schema-latch write (its savepoint)
+    and one WAL barrier, whatever k is."""
     from repro.storage.wal import WriteAheadLog
 
     db, sessions = _campus_with_wal_and_sessions(tmp_path)
@@ -167,10 +167,10 @@ def test_apply_many_pays_fixed_costs_once(k, tmp_path, monkeypatch):
         ("create", {"class_name": "Person", "assignments": {"age": i}})
         for i in range(k)
     ]
-    reads_before = sessions.latch.reads_admitted
+    writes_before = sessions.latch.writes_admitted
     oids = db.apply_many(creates)
     assert len(oids) == k
-    assert sessions.latch.reads_admitted - reads_before == 1
+    assert sessions.latch.writes_admitted - writes_before == 1
     assert len(barriers) == 1, f"{len(barriers)} WAL barriers for {k} updates"
 
 

@@ -6,7 +6,9 @@ Four layers of coverage, all built on :mod:`repro.checking`:
   is a historical divergence (or a near-miss regression scenario) that must
   now replay without any disagreement.  This is the tier-1 safety net: the
   entries encode the five real bugs the fuzzer found, so any reintroduction
-  fails fast under plain ``pytest``.
+  fails fast under plain ``pytest``.  Each entry's ``(step, op, outcome)``
+  stream is pinned under ``outcomes/`` too, so an entry cannot quietly stop
+  exercising what it was archived for.
 * **Short fuzz** — a small seeded sweep that runs in a few seconds and is
   cheap enough for the default lane.
 * **Mutation smoke** — injects a known bug (forcing
@@ -53,6 +55,8 @@ from repro.schema.properties import Attribute
 
 CORPUS_DIR = Path(__file__).parent / "corpus" / "differential"
 CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
+#: per corpus entry, the ``[step, op, outcome]`` list its replay produces
+OUTCOMES_DIR = CORPUS_DIR / "outcomes"
 
 
 # ---------------------------------------------------------------------------
@@ -64,13 +68,26 @@ CORPUS_FILES = sorted(CORPUS_DIR.glob("*.json"))
     "corpus_path", CORPUS_FILES, ids=[p.stem for p in CORPUS_FILES]
 )
 def test_corpus_replays_clean(corpus_path):
-    """Every archived divergence scenario replays without disagreement."""
+    """Every archived divergence scenario replays without disagreement,
+    and step for step with the outcome stream pinned under ``outcomes/``:
+    a resolver change that silently turns applied steps into agreed skips
+    would otherwise still replay clean."""
     commands, meta = load_corpus_entry(corpus_path)
-    divergence = run_commands(commands)
-    assert divergence is None, (
-        f"corpus entry {corpus_path.name} (note: {meta.get('note', '')!r}) "
-        f"diverged again: {divergence}"
-    )
+    harness = DifferentialHarness()
+    try:
+        try:
+            for command in commands:
+                harness.apply(command)
+        except Divergence as divergence:
+            pytest.fail(
+                f"corpus entry {corpus_path.name} (note: {meta.get('note', '')!r}) "
+                f"diverged again: {divergence}"
+            )
+        outcomes = [list(outcome) for outcome in harness.outcomes]
+    finally:
+        harness.close()
+    golden = json.loads((OUTCOMES_DIR / corpus_path.name).read_text())
+    assert outcomes == golden, f"{corpus_path.name}: outcome stream changed"
 
 
 def test_corpus_is_nonempty():
