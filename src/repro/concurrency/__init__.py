@@ -21,11 +21,13 @@ Four cooperating pieces:
   touching the latch* and therefore never block on an in-flight writer.
   Epochs retire when their last reader unpins.
 * :mod:`repro.concurrency.migration` — the **lazy migration engine**.
-  Publish defers extent capture entirely: classes start *pending*
-  and are captured on first touch, sealed just before a conflicting pool
-  mutation, or drained by a background backfill worker in bounded batches
-  — the writer-visible pause of a schema change stays sub-millisecond no
-  matter how large the extents are.  It is the only publish path.
+  Publish copies no extent: it adopts the frozensets the incremental
+  evaluator already holds, and the classes it has not cached (after a
+  schema change, all of them) start *pending* and are captured on first
+  touch, sealed just before a conflicting pool mutation, or drained by a
+  background backfill worker in bounded batches — the writer-visible
+  pause of a schema change stays sub-millisecond no matter how large the
+  extents are.  It is the only publish path.
 * :mod:`repro.concurrency.sessions` — the user-facing
   :class:`~repro.concurrency.sessions.SessionManager` /
   :class:`~repro.concurrency.sessions.ReaderSession` /

@@ -8,16 +8,23 @@ queries against one committed moment of the database:
   immutable once registered, so the capture shares them — copy-on-write in
   the literal sense: the only copied state is the membership data below);
 * per-class extent membership as ``frozenset`` of OIDs, each guarded by a
-  per-class CRC;
+  per-class digest — ``hash(members)``, which is independent of element
+  order and which CPython computes once per frozenset and caches on it;
 * a CRC **checksum** over a canonical rendering of the schema-shaped part
   (generation, class names, view versions), computed at publish time.
 
-Extent membership is captured **lazily**: publish leaves every class
-*pending* and the :class:`~repro.concurrency.migration.MigrationEngine`
-captures each class's membership on first touch, from the background
-backfill, or — sealed pre-mutation — just before a pool change could move
-it.  The captured value equals the publish-time extent; lazy capture only
-moves *when* the copy happens, off the writer's critical path.
+Publish **adopts** every extent the incremental evaluator holds at the
+current schema generation: the evaluator keeps each class's extent as an
+immutable ``frozenset`` and replaces it on change, so the epoch shares the
+object and copies nothing.  After a data-only write the evaluator's cache
+is warm and the epoch is complete at publish.  Only classes the evaluator
+has not cached start *pending* — after a schema change (which bumps the
+generation and empties the cache) that is every class — and the
+:class:`~repro.concurrency.migration.MigrationEngine` captures each on
+first touch, from the background backfill, or — sealed pre-mutation —
+just before a pool change could move it.  The captured value equals the
+publish-time extent; lazy capture only moves *when* it is taken, off the
+writer's critical path.
 
 Readers pin the current epoch with one small mutex hold (pointer grab +
 refcount) — crucially *without* touching the schema latch, so a reader
@@ -29,7 +36,8 @@ still visible to someone; retirement also drops the epoch's remaining
 migration backlog — capturing extents nobody can read would be waste.
 
 :meth:`SchemaEpoch.verify` recomputes the schema checksum, re-validates
-every captured extent against its per-class CRC, and re-checks the
+every captured extent against its per-class digest (recomputed from a
+fresh copy, never read back from the set's cached hash), and re-checks the
 structural invariants (every class a view selects exists; every selected
 class has captured-or-pending membership).  A torn capture — one that
 interleaved with a mutation — cannot pass all three; the stress tests
@@ -59,7 +67,7 @@ class SchemaEpoch:
         "views",
         "view_versions",
         "extents",
-        "extent_crcs",
+        "extent_digests",
         "pending",
         "checksum",
         "_engine",
@@ -83,12 +91,13 @@ class SchemaEpoch:
         self.view_versions: Dict[str, int] = {
             name: schema.version for name, schema in self.views.items()
         }
-        #: class name -> captured membership, filled by the MigrationEngine
+        #: class name -> captured membership, adopted at publish or filled
+        #: later by the MigrationEngine
         self.extents: Dict[str, FrozenSet[Oid]] = {}
-        #: class name -> CRC of its captured extent (torn-capture guard)
-        self.extent_crcs: Dict[str, int] = {}
-        #: classes without captured membership: every class at publish,
-        #: shrinking to empty as the MigrationEngine captures them
+        #: class name -> digest of its captured extent (torn-capture guard)
+        self.extent_digests: Dict[str, int] = {}
+        #: classes without captured membership: those the evaluator had not
+        #: cached at publish, shrinking to empty as the engine captures them
         self.pending: FrozenSet[str] = self.class_names
         #: the MigrationEngine to ask for first-touch captures
         self._engine = engine
@@ -98,16 +107,9 @@ class SchemaEpoch:
 
     # -- integrity ---------------------------------------------------------
 
-    @staticmethod
-    def _extent_crc(members: FrozenSet[Oid]) -> int:
-        canonical = json.dumps(
-            sorted(o.value for o in members), separators=(",", ":")
-        ).encode("utf-8")
-        return zlib.crc32(canonical)
-
     def _compute_checksum(self) -> int:
         # the schema-shaped part only: extents arrive lazily and carry
-        # their own per-class CRCs, so the top-level checksum must be
+        # their own per-class digests, so the top-level checksum must be
         # stable from publish through the whole migration
         canonical = json.dumps(
             {
@@ -121,21 +123,22 @@ class SchemaEpoch:
         ).encode("utf-8")
         return zlib.crc32(canonical)
 
-    def _seal_class(self, name: str, members: FrozenSet[Oid]) -> None:
-        """Capture one class's membership (MigrationEngine only, under its
-        mutex).  Copy-on-write dict swaps keep concurrent readers safe:
-        they see either the old dict or the new one, never a dict mutating
-        under iteration.  Order matters — CRC first, extent second,
-        pending last — so any reader that observes the class as captured
-        also observes its extent *and* its CRC."""
-        members = frozenset(members)
-        crcs = dict(self.extent_crcs)
-        crcs[name] = self._extent_crc(members)
-        self.extent_crcs = crcs
-        extents = dict(self.extents)
-        extents[name] = members
-        self.extents = extents
-        self.pending = self.pending - {name}
+    def _seal(self, extents: Mapping[str, FrozenSet[Oid]]) -> None:
+        """Capture the membership of the named classes (publish, or the
+        MigrationEngine under its mutex).  Copy-on-write dict swaps keep
+        concurrent readers safe: they see either the old dict or the new
+        one, never a dict mutating under iteration.  Order matters —
+        digests first, extents second, pending last — so any reader that
+        observes a class as captured also observes its extent *and* its
+        digest."""
+        digests = dict(self.extent_digests)
+        for name, members in extents.items():
+            digests[name] = hash(members)
+        self.extent_digests = digests
+        captured = dict(self.extents)
+        captured.update(extents)
+        self.extents = captured
+        self.pending = self.pending.difference(extents)
 
     def migration_watermark(self) -> float:
         """Fraction of classes captured — 1.0 once fully migrated."""
@@ -148,7 +151,7 @@ class SchemaEpoch:
         """True iff the capture is internally consistent (committed-whole).
 
         Recomputes the schema checksum, re-checks every captured extent
-        against its per-class CRC, and re-checks the structural
+        against its per-class digest, and re-checks the structural
         invariants: every class selected by a captured view exists in the
         captured class set and is either captured or still pending
         migration.
@@ -160,9 +163,11 @@ class SchemaEpoch:
         # dict read afterwards (seal order is extent-then-pending)
         pending = self.pending
         extents = self.extents
-        crcs = self.extent_crcs
+        digests = self.extent_digests
         for name, members in extents.items():
-            if crcs.get(name) != self._extent_crc(members):
+            # a fresh frozenset hashes its elements anew; ``hash(members)``
+            # would only read back the value cached on the captured set
+            if digests.get(name) != hash(frozenset(iter(members))):
                 return False
         for schema in self.views.values():
             for global_name in schema.selected:
@@ -241,8 +246,9 @@ class EpochManager:
         session layer wires this into the pipeline's commit), or from
         single-threaded setup code.
 
-        The publish is *lazy*: the epoch starts with every class pending
-        and no extent copies, so the cost under the latch is
+        The epoch adopts the incremental evaluator's cached extents (shared
+        frozensets, no copies); every other class starts pending and is
+        captured lazily, so the cost under the latch is
         O(#classes + #views) regardless of how many objects exist.  The
         migration engine is handed the epoch **before** it becomes
         current, so no reader can touch a pending class the engine does
@@ -253,6 +259,8 @@ class EpochManager:
             name: db.views.current(name) for name in db.views.history.view_names()
         }
         class_names = frozenset(db.schema.class_names())
+        cached = db.evaluator.cached_extents()
+        adopted = {name: cached[name] for name in class_names & cached.keys()}
         with self._mutex:
             self._next_id += 1
             epoch = SchemaEpoch(
@@ -262,6 +270,7 @@ class EpochManager:
                 views=views,
                 engine=self.migration,
             )
+            epoch._seal(adopted)
             self.migration.register(epoch)
             previous, self._current = self._current, epoch
             self.published += 1

@@ -7,13 +7,17 @@ Schema Evolution is (Almost) Free for Snapshot Databases" (VLDB 2023)
 shows is avoidable in snapshot systems.  This module is the avoidance:
 
 * :meth:`~repro.concurrency.epoch.EpochManager.publish` constructs the new
-  :class:`~repro.concurrency.epoch.SchemaEpoch` with **no** extents —
-  every class starts *pending* — and registers it here.  The latch hold
-  shrinks to schema bookkeeping: O(#classes + #views), independent of the
-  object count.
+  :class:`~repro.concurrency.epoch.SchemaEpoch` copying **no** extents: it
+  adopts the frozensets the incremental evaluator holds at the current
+  schema generation, and every class the evaluator has not cached starts
+  *pending* — after a schema change, every class; after data-only writes,
+  usually none, and such an epoch never reaches this engine.  The epoch is
+  registered here when anything is pending.  The latch hold shrinks to
+  schema bookkeeping: O(#classes + #views), independent of the object
+  count.
 * A pending class is **captured on first touch**: the first reader that
   asks an epoch for its extent triggers :meth:`MigrationEngine.capture_touch`,
-  which snapshots the live extent into the epoch (with a per-class CRC).
+  which snapshots the live extent into the epoch (with a per-class digest).
 * A daemon **backfill worker** drains the remaining pending classes in
   bounded batches (:meth:`MigrationEngine.backfill_step`), each batch
   holding the latch's *read* side briefly — writers queue at most one
@@ -139,12 +143,13 @@ class MigrationEngine:
     # capture paths
     # ------------------------------------------------------------------
 
-    def _capture_locked(self, epoch, name: str) -> None:
+    def _capture_locked(self, epoch, names) -> None:
         # caller holds latch.read + self._mutex: the schema is not mid-
-        # change and no hooked mutation is in flight, so the live extent
-        # still equals the epoch's publish-time extent for ``name``
-        epoch._seal_class(name, self._db.evaluator.extent(name))
-        self.classes_captured += 1
+        # change and no hooked mutation is in flight, so the live extents
+        # still equal the epoch's publish-time extents for ``names``
+        extent = self._db.evaluator.extent
+        epoch._seal({name: extent(name) for name in names})
+        self.classes_captured += len(names)
 
     def _prune_drained_locked(self) -> None:
         drained = [epoch for epoch in self._epochs if not epoch.pending]
@@ -167,7 +172,7 @@ class MigrationEngine:
             with self._mutex:
                 if global_name not in epoch.pending:
                     return  # raced another capture — already sealed
-                self._capture_locked(epoch, global_name)
+                self._capture_locked(epoch, (global_name,))
                 self.touch_captures += 1
                 self._prune_drained_locked()
         self._batch_seconds["touch"].observe(time.perf_counter() - start)
@@ -193,21 +198,20 @@ class MigrationEngine:
             with self._mutex:
                 remaining = limit
                 for epoch in list(self._epochs):
-                    batch: List[str] = []
-                    while remaining and epoch.pending:
-                        name = min(epoch.pending)  # deterministic drain order
-                        self._capture_locked(epoch, name)
-                        batch.append(name)
-                        remaining -= 1
-                    if batch:
-                        captured.extend(batch)
-                        journal.append(
-                            {
-                                "epoch": epoch.epoch_id,
-                                "classes": batch,
-                                "remaining": len(epoch.pending),
-                            }
-                        )
+                    # deterministic drain order: smallest names first
+                    batch = sorted(epoch.pending)[:remaining]
+                    if not batch:
+                        continue
+                    self._capture_locked(epoch, batch)
+                    remaining -= len(batch)
+                    captured.extend(batch)
+                    journal.append(
+                        {
+                            "epoch": epoch.epoch_id,
+                            "classes": batch,
+                            "remaining": len(epoch.pending),
+                        }
+                    )
                     if not remaining:
                         break
                 self._prune_drained_locked()
@@ -266,9 +270,9 @@ class MigrationEngine:
             targets = (
                 epoch.pending if affected is None else epoch.pending & affected
             )
-            for name in sorted(targets):
-                self._capture_locked(epoch, name)
-                sealed += 1
+            if targets:
+                self._capture_locked(epoch, sorted(targets))
+                sealed += len(targets)
         if sealed:
             self.classes_sealed += sealed
             self._batch_seconds["seal"].observe(time.perf_counter() - start)

@@ -19,7 +19,7 @@ Two distinct jobs live here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Callable, Dict, FrozenSet, List, Mapping, Optional, Set, Tuple
 
 from repro.algebra import compiler as compilermod
 from repro.errors import PredicateError, UnknownProperty
@@ -364,6 +364,15 @@ class ExtentEvaluator:
     def invalidate(self) -> None:
         self._cache.clear()
         self._cache_key = self._current_key()
+
+    def cached_extents(self) -> Mapping[str, FrozenSet[Oid]]:
+        """The extents cached for the current key — each exactly what
+        :meth:`extent` would return now — or an empty mapping when the
+        cache is stale.  The mapping is the live cache: read it, copy out
+        of it, never mutate it."""
+        if self._cache_key != self._current_key():
+            return {}
+        return self._cache
 
     def extent(self, class_name: str) -> FrozenSet[Oid]:
         """The global extent of the class as a frozen set of conceptual OIDs."""

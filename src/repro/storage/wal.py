@@ -685,7 +685,9 @@ class WalManager:
             "database": database_to_dict(self.db),
         }
         with open(tmp, "w") as handle:
-            json.dump(snapshot, handle, separators=(",", ":"))
+            # one C-accelerated dumps: json.dump streams through the
+            # pure-Python encoder, about twice the CPU for the same bytes
+            handle.write(json.dumps(snapshot, separators=(",", ":")))
             handle.flush()
             if self.log.sync != "off":
                 os.fsync(handle.fileno())

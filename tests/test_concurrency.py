@@ -481,6 +481,109 @@ class TestSnapshotIsolation:
         run_stress(n_readers=8, iterations=220, seed=7)
 
 
+def run_data_only_stress(n_readers: int, writes: int, seed: int = 5) -> None:
+    """One writer issues only data updates (no schema change) while readers
+    pin, verify and count on every read.  Each published epoch's counts
+    are predicted by a model the writer keeps of its own writes, so a
+    reader holding epoch ``e`` must see exactly ``model[e]``."""
+    db = build_campus()
+    view = db.view("campus")
+    model_objects = {}  # oid -> (is_student, salary or None)
+    for index in range(6):
+        oid = view["Student"].create(name=f"s{index}", major="cs").oid
+        model_objects[oid] = (True, None)
+    sessions = db.sessions()
+    with sessions.reader() as r:  # warm-up: every class cached and captured
+        for cls in r.class_names("campus"):
+            r.count("campus", cls)
+    sessions.migration.drain()
+    captures_before = {
+        name: db.stats()["migration"][name]
+        for name in ("touch_captures", "classes_sealed", "classes_captured")
+    }
+    rng = random.Random(seed)
+    expected = {}  # epoch id -> {view class: count}
+    expected_mutex = threading.Lock()
+    stop = threading.Event()
+    reads_done = [0] * n_readers
+
+    def model_counts():
+        students = sum(1 for is_student, _ in model_objects.values() if is_student)
+        staff = sum(1 for _, salary in model_objects.values() if salary is not None)
+        return {"Person": len(model_objects), "Student": students, "Staff": staff}
+
+    def record_current():
+        with expected_mutex:
+            expected[sessions.epochs.current.epoch_id] = model_counts()
+
+    def lookup(epoch_id):
+        # the writer records an epoch's counts just after publishing it
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            with expected_mutex:
+                if epoch_id in expected:
+                    return expected[epoch_id]
+            time.sleep(0.0005)
+        raise AssertionError(f"no model for epoch {epoch_id}")
+
+    record_current()
+
+    def make_reader(index):
+        def reader():
+            while not stop.is_set():
+                with sessions.reader() as r:
+                    assert r.verify(), "torn epoch under data-only writes"
+                    want = lookup(r.epoch.epoch_id)
+                    got = {cls: r.count("campus", cls) for cls in want}
+                    assert got == want, (r.epoch.epoch_id, got, want)
+                    assert r.verify()
+                    reads_done[index] += 1
+
+        return reader
+
+    def writer():
+        try:
+            for step in range(writes):
+                with sessions.writer() as w:
+                    handles = w.view("campus")
+                    roll = rng.random()
+                    if roll < 0.35 or len(model_objects) < 3:
+                        oid = handles["Person"].create(name=f"p{step}").oid
+                        model_objects[oid] = (False, None)
+                    elif roll < 0.55:
+                        salary = rng.randrange(1, 100)
+                        oid = handles["Staff"].create(name=f"t{step}", salary=salary).oid
+                        model_objects[oid] = (False, salary)
+                    elif roll < 0.8:
+                        oid = rng.choice(sorted(model_objects))
+                        handles["Person"].get_object(oid).set("age", step)
+                    else:
+                        oid = rng.choice(sorted(model_objects))
+                        handles["Person"].get_object(oid).delete()
+                        del model_objects[oid]
+                record_current()
+        finally:
+            stop.set()
+
+    run_threads([make_reader(i) for i in range(n_readers)] + [writer])
+    assert all(count > 0 for count in reads_done), "a reader thread starved"
+    # data-only publishes adopt every extent: nothing is captured again
+    stats = db.stats()["migration"]
+    assert {name: stats[name] for name in captures_before} == captures_before
+
+
+class TestDataOnlyWriterStress:
+    def test_stress_small(self):
+        """Tier-1-sized: 3 readers against 60 data-only writer blocks."""
+        run_data_only_stress(n_readers=3, writes=60)
+
+    @pytest.mark.concurrency_stress
+    def test_stress_full(self):
+        """8 readers check every read against the writer's model across
+        400 data-only writer blocks."""
+        run_data_only_stress(n_readers=8, writes=400, seed=9)
+
+
 class TestLiveHandlesUnderSessions:
     def test_live_reads_are_latched_not_torn(self):
         """Session-less handles keep working after the session layer is

@@ -31,9 +31,11 @@ import time
 
 import pytest
 
+from repro.algebra.expressions import Compare
 from repro.core.database import TseDatabase
 from repro.core.manager import TseManager
 from repro.errors import EvolutionError
+from repro.schema.classes import Derivation
 from repro.schema.extents import ExtentEvaluator
 from repro.schema.properties import Attribute
 from repro.storage.wal import LOG_NAME, CrashInjector, SimulatedCrash, WriteAheadLog
@@ -226,6 +228,183 @@ class TestDrains:
         assert status["mode"] == "lazy"
         assert status["backlog"] == 0 and status["epochs"] == []
         assert status["backfill"]["worker_alive"] is False
+
+
+# ---------------------------------------------------------------------------
+# carried extents: a data-only publish adopts the evaluator's frozensets
+# ---------------------------------------------------------------------------
+
+#: the migration counters a capture of any kind moves
+CAPTURE_COUNTERS = (
+    "touch_captures",
+    "classes_sealed",
+    "classes_captured",
+    "backfill_steps",
+    "epochs_registered",
+)
+
+
+def build_carried(backfill: bool = False) -> TseDatabase:
+    """The campus database plus a select class in a second view, so value
+    writes move a derived extent as well as the base ones."""
+    db = build_campus(backfill)
+    adult = db.define_virtual_class(
+        "Adult",
+        Derivation(
+            op="select", sources=("Person",), predicate=Compare("age", ">=", 18)
+        ),
+    )
+    db.create_view("carried", ["Person", "Student", adult])
+    return db
+
+
+def warm_up(sessions) -> None:
+    """Read every class of the view once and drain the backlog, so the
+    incremental evaluator holds every extent at the current generation."""
+    with sessions.reader() as r:
+        for cls in r.class_names("carried"):
+            r.count("carried", cls)
+    sessions.migration.drain()
+    engine = sessions.migration
+    assert wait_until(lambda: engine.backlog() == 0 and not engine.worker_alive)
+
+
+def capture_counters(engine) -> dict:
+    stats = engine.stats_dict()
+    return {name: stats[name] for name in CAPTURE_COUNTERS}
+
+
+def assert_adopted_match_scratch(db, epoch) -> None:
+    """Every extent the epoch holds equals a from-scratch evaluation over
+    the same pool (call right after the publish, before any later write)."""
+    scratch = ExtentEvaluator(db.schema, db.pool)
+    assert epoch.verify()
+    for name, members in epoch.extents.items():
+        assert members == scratch.extent(name), name
+
+
+def data_write(view, step: int, tracked: list) -> None:
+    """One data-only update, cycling through create/set/delete so base
+    and select extents both move."""
+    kind = step % 4
+    if kind == 0:
+        tracked.append(view["Person"].create(name=f"c{step}", age=step % 40))
+    elif kind == 1:
+        tracked.append(
+            view["Student"].create(name=f"s{step}", age=15 + step % 10, major="cs")
+        )
+    elif kind == 2 and tracked:
+        tracked[step % len(tracked)].set("age", (step * 7) % 40)
+    elif tracked:
+        tracked.pop(0).delete()
+
+
+class TestCarriedExtents:
+    def test_data_only_publishes_capture_nothing(self):
+        """After warm-up, data-only writer blocks interleaved with reads
+        publish complete epochs: no touch, seal or backfill capture runs,
+        and the background worker stays idle."""
+        db = build_carried(backfill=True)
+        sessions = db.sessions()
+        engine = sessions.migration
+        warm_up(sessions)
+        before = capture_counters(engine)
+        tracked: list = []
+        with sessions.reader() as reader:
+            for step in range(16):
+                published = sessions.epochs.published
+                with sessions.writer() as w:
+                    data_write(w.view("carried"), step, tracked)
+                epoch = sessions.epochs.current
+                assert sessions.epochs.published == published + 1
+                assert epoch.pending == frozenset(), sorted(epoch.pending)
+                assert set(epoch.extents) == epoch.class_names
+                reader.refresh()
+                for cls in reader.class_names("carried"):
+                    reader.count("carried", cls)
+                assert reader.verify()
+        assert capture_counters(engine) == before
+        assert engine.backlog() == 0 and not engine.worker_alive
+
+    def test_adopted_extents_equal_a_from_scratch_evaluation(self):
+        db = build_carried()
+        sessions = db.sessions()
+        warm_up(sessions)
+        tracked: list = []
+        for step in range(8):
+            with sessions.writer() as w:
+                data_write(w.view("carried"), step, tracked)
+            epoch = sessions.epochs.current
+            assert not epoch.pending
+            assert_adopted_match_scratch(db, epoch)
+
+    def test_abort_inside_a_writer_block_adopts_post_rollback_extents(self):
+        """A savepoint that aborts inside a writer block must not leave its
+        rolled-back state in the next epoch: extents read inside the
+        savepoint are dropped with it, and what the publish adopts equals
+        a from-scratch evaluation of the committed pool."""
+        db = build_carried()
+        sessions = db.sessions()
+        warm_up(sessions)
+        with sessions.writer() as w:
+            view = w.view("carried")
+            kept = view["Person"].create(name="kept", age=30)
+            with pytest.raises(RuntimeError):
+                with db.transaction():
+                    view["Student"].create(name="gone", age=50, major="art")
+                    kept.set("age", 5)
+                    # fill the evaluator's cache with the doomed state
+                    for cls in ("Person", "Student", "Adult"):
+                        view[cls].count()
+                    raise RuntimeError("abort")
+            # refill it after the rollback so the publish has something
+            # to adopt
+            for cls in ("Person", "Student", "Adult"):
+                view[cls].count()
+        epoch = sessions.epochs.current
+        assert {"Person", "Student", "Adult"} <= set(epoch.extents)
+        assert_adopted_match_scratch(db, epoch)
+        with sessions.reader() as r:
+            assert kept.oid in r.extent_oids("carried", "Adult")
+
+    def test_reader_pinned_before_data_writes_keeps_its_counts(self):
+        db = build_carried()
+        sessions = db.sessions()
+        warm_up(sessions)
+        with sessions.reader() as pinned:
+            counts = {
+                cls: pinned.count("carried", cls)
+                for cls in pinned.class_names("carried")
+            }
+            tracked: list = []
+            for step in range(12):
+                with sessions.writer() as w:
+                    data_write(w.view("carried"), step, tracked)
+            assert {
+                cls: pinned.count("carried", cls) for cls in counts
+            } == counts
+            assert pinned.verify()
+            with sessions.reader() as fresh:
+                assert fresh.count("carried", "Person") != counts["Person"]
+
+    def test_verify_catches_an_extent_swapped_without_its_digest(self):
+        """Mutation check: replacing one class's captured frozenset with a
+        different one, digest untouched, must fail verification."""
+        db = build_carried()
+        sessions = db.sessions()
+        warm_up(sessions)
+        with sessions.writer() as w:
+            w.view("carried")["Person"].create(name="x", age=20)
+        epoch = sessions.epochs.current
+        assert epoch.verify()
+        original = epoch.extents["Person"]
+        epoch.extents = {
+            **epoch.extents,
+            "Person": original - {next(iter(original))},
+        }
+        assert not epoch.verify()
+        epoch.extents = {**epoch.extents, "Person": original}
+        assert epoch.verify()
 
 
 # ---------------------------------------------------------------------------
