@@ -7,18 +7,26 @@ checkpoint.  This bench measures both axes:
 * **log length** — recover a database whose whole history sits in the log
   (only the initial empty checkpoint), at growing operation counts; and
 * **checkpoint interval** — the same total history, checkpointed every k
-  operations, so replay only covers the tail.
+  operations, so replay only covers the tail; and
+* **checkpoint size** — the figure-3 schema at 1k/3k/10k objects: the
+  checkpoint's bytes on disk, the process CPU one ``db.checkpoint()`` takes
+  and the process CPU recovering from that checkpoint alone (best of
+  ``CHECKPOINT_REPEATS``).
 
 Writes ``BENCH_recovery.json`` at the repo root and
 ``benchmarks/results/recovery.md`` (the table EXPERIMENTS.md quotes).
 """
 
+import random
+import time
 from pathlib import Path
 
 from conftest import format_table, write_bench_json, write_report
 
 from repro.core.database import TseDatabase
 from repro.schema.properties import Attribute
+from repro.storage.wal import CHECKPOINT_NAME
+from repro.workloads.university import build_figure3_database
 
 BENCH_RECOVERY_JSON = Path(__file__).parent.parent / "BENCH_recovery.json"
 
@@ -38,6 +46,39 @@ def build_schema() -> TseDatabase:
     )
     db.create_view("campus", ["Person", "Student"])
     return db
+
+
+#: figure-3 populations of the checkpoint-size axis, and the repeats each
+#: cost is the best of
+CHECKPOINT_POPULATIONS = (1000, 3000, 10000)
+CHECKPOINT_REPEATS = 5
+
+
+def build_population(population: int) -> TseDatabase:
+    """The figure-3 schema holding ``population`` objects, spread evenly
+    over its four base classes (the shape of perfbench's durable_writes)."""
+    db, _view = build_figure3_database()
+    rng = random.Random(population)
+    classes = ("Person", "Student", "TA", "Grad")
+    for index in range(population):
+        cls = classes[index % len(classes)]
+        values = {"name": f"{cls.lower()}{index}", "age": 18 + rng.randrange(50)}
+        if cls != "Person":
+            values["major"] = rng.choice(("cs", "ee", "math", "bio"))
+        if cls == "TA":
+            values["salary"] = 1000 + rng.randrange(5000)
+        db.engine.create(cls, values)
+    return db
+
+
+def best_cpu_ms(fn) -> float:
+    """Best-of-``CHECKPOINT_REPEATS`` process CPU milliseconds of ``fn()``."""
+    best = float("inf")
+    for _ in range(CHECKPOINT_REPEATS):
+        start = time.process_time()
+        fn()
+        best = min(best, time.process_time() - start)
+    return round(best * 1000, 2)
 
 
 def run_workload(db: TseDatabase, ops: int, checkpoint_every: int = 0) -> None:
@@ -105,6 +146,27 @@ def test_recovery_scaling(tmp_path):
     for every, replayed, _bytes, _ms in interval_rows[1:]:
         assert replayed < TOTAL and replayed == TOTAL % int(every)
 
+    # -- axis 3: checkpoint size and cost vs population --------------------
+    checkpoint_rows = []
+    for population in CHECKPOINT_POPULATIONS:
+        directory = tmp_path / f"population-{population}"
+        populated = build_population(population)
+        populated.enable_wal(directory, sync=SYNC)
+        checkpoint_ms = best_cpu_ms(populated.checkpoint)
+        checkpoint_bytes = (directory / CHECKPOINT_NAME).stat().st_size
+
+        def recover():
+            recovered = TseDatabase.recover(directory, sync=SYNC)
+            assert recovered.pool.object_count == population
+            assert recovered.wal.records_replayed == 0
+            recovered.wal.close()
+
+        checkpoint_rows.append(
+            (population, checkpoint_bytes, checkpoint_ms, best_cpu_ms(recover))
+        )
+    # a checkpoint holds the data, so it grows with the population
+    assert checkpoint_rows[-1][1] > checkpoint_rows[0][1], checkpoint_rows
+
     body = (
         "Replay cost vs surviving log length (sync=off, initial checkpoint "
         "only):\n\n"
@@ -116,6 +178,13 @@ def test_recovery_scaling(tmp_path):
         + format_table(
             ["checkpoint every", "records replayed", "log bytes", "recovery ms"],
             interval_rows,
+        )
+        + "\n\nCheckpoint size and cost vs population (figure-3 schema, "
+        f"sync=off, process CPU, best of {CHECKPOINT_REPEATS}; recovery "
+        "replays no log):\n\n"
+        + format_table(
+            ["objects", "checkpoint bytes", "checkpoint CPU ms", "recovery CPU ms"],
+            checkpoint_rows,
         )
     )
     write_report("recovery", "Recovery time vs log length and checkpoint interval", body)
@@ -142,6 +211,15 @@ def test_recovery_scaling(tmp_path):
                 for every, replayed, log_bytes, ms in interval_rows
             ],
             "full_replay_ms": full_replay_ms,
+            "checkpoint_rows": [
+                {
+                    "objects": population,
+                    "checkpoint_bytes": size,
+                    "checkpoint_cpu_ms": checkpoint_ms,
+                    "recovery_cpu_ms": recovery_ms,
+                }
+                for population, size, checkpoint_ms, recovery_ms in checkpoint_rows
+            ],
         },
         db=db,
         target=BENCH_RECOVERY_JSON,

@@ -9,9 +9,10 @@ into one JSON document and rebuilding it:
   serialise through their ``to_dict`` forms), DAG edges, propagation
   sources, updatability flags and provenance metadata;
 * the **object store and instance pool** — slices, memberships,
-  implementation-object links, OID continuity;
+  implementation-object links, OID continuity (format 2: columnar rows in
+  OID order, DESIGN §10);
 * the **view schema history** — every version of every view, so
-  transparency survives a restart.
+  transparency survives a restart; and the **index definitions**.
 
 Method bodies are Python callables and do not serialise; a *method
 registry* (mapping ``"Class.method"`` or ``"method"`` to a callable) rebinds
@@ -22,14 +23,14 @@ when invoked.
 from __future__ import annotations
 
 import json
-import os
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional
 
 from repro.errors import StorageError
 from repro.algebra.expressions import predicate_from_dict
 from repro.core.database import TseDatabase
-from repro.objectmodel.slicing import ImplementationObject
+from repro.objectmodel.slicing import ConceptualObject, ImplementationObject
 from repro.schema.classes import (
     ROOT_CLASS,
     BaseClass,
@@ -40,10 +41,14 @@ from repro.schema.classes import (
 from repro.schema.properties import Attribute, Method, Property
 from repro.storage.oid import Oid
 from repro.storage.store import ObjectStore
+from repro.storage.wal import atomic_write_json
 from repro.views.schema import ViewSchema
 
-#: bump when the on-disk layout changes incompatibly
-FORMAT_VERSION = 1
+#: bump when the on-disk layout changes incompatibly; a document of any
+#: other version is refused (format 2: columnar store and pool rows)
+FORMAT_VERSION = 2
+
+_OID_VALUE = attrgetter("oid.value")
 
 MethodRegistry = Mapping[str, Callable]
 
@@ -171,22 +176,20 @@ def database_to_dict(db: TseDatabase) -> dict:
         for sub in schema.direct_subs(sup)
     )
 
-    objects = []
-    for obj in sorted(db.pool.objects(), key=lambda o: o.oid):
-        objects.append(
-            {
-                "oid": obj.oid.value,
-                "direct_classes": sorted(obj.direct_classes),
-                "current_class": obj.current_class,
-                "implementations": {
-                    cls_name: {
-                        "oid": impl.oid.value,
-                        "slice_id": impl.slice_id.value,
-                    }
-                    for cls_name, impl in sorted(obj.implementations.items())
-                },
-            }
-        )
+    # one row per conceptual object, in OID order:
+    # [oid, direct classes, current class, [[class, impl oid, slice id], ...]]
+    objects = [
+        [
+            obj.oid.value,
+            sorted(obj.direct_classes),
+            obj.current_class,
+            [
+                [name, impl.oid.value, impl.slice_id.value]
+                for name, impl in sorted(obj.implementations.items())
+            ],
+        ]
+        for obj in sorted(db.pool.objects(), key=_OID_VALUE)
+    ]
 
     views = []
     for view_name in db.views.history.view_names():
@@ -214,6 +217,7 @@ def database_to_dict(db: TseDatabase) -> dict:
         "objects": objects,
         "views": views,
         "retired_views": db.views.history.retired_map(),
+        "indexes": [list(key) for key in db.indexes.index_names()],
     }
 
 
@@ -259,11 +263,20 @@ def database_from_dict(
     db.schema._dirty()
     db.schema.validate()
 
-    for entry in data["objects"]:
-        oid = Oid(int(entry["oid"]))
-        obj = db.pool._objects[oid] = _rebuild_object(db, entry, oid)
-        for cls_name in obj.direct_classes:
-            db.pool._members_direct.setdefault(cls_name, set()).add(oid)
+    pool = db.pool
+    slice_ids = db.store.slice_ids()
+    for oid_value, direct_classes, current_class, implementations in data["objects"]:
+        oid = Oid(oid_value)
+        obj = ConceptualObject(oid)
+        obj.direct_classes = set(direct_classes)
+        obj.current_class = current_class
+        for name, impl_oid, slice_id in implementations:
+            obj.implementations[name] = ImplementationObject(
+                Oid(impl_oid), name, oid, slice_ids[slice_id]
+            )
+        pool._objects[oid] = obj
+        for name in direct_classes:
+            pool._members_direct.setdefault(name, set()).add(oid)
     db.pool._dirty()
     # population bypassed the pool's mutation API (no deltas were emitted),
     # so drop anything the evaluator may have cached meanwhile
@@ -283,52 +296,20 @@ def database_from_dict(
             db.views.history.register_initial(view)
         else:
             db.views.history.substitute(view)
-    # checkpoints written before retirement existed carry no key: nothing
-    # was retired then, so the empty default is also the faithful one
-    db.views.history.restore_retired(data.get("retired_views", {}))
+    db.views.history.restore_retired(data["retired_views"])
+    # indexes backfill from the restored objects
+    for storage_class, attribute in data["indexes"]:
+        db.indexes.create_index(storage_class, attribute)
     return db
-
-
-def _rebuild_object(db: TseDatabase, entry: dict, oid: Oid):
-    from repro.objectmodel.slicing import ConceptualObject
-
-    obj = ConceptualObject(oid)
-    obj.direct_classes = set(entry["direct_classes"])
-    obj.current_class = entry.get("current_class")
-    for cls_name, impl_entry in entry["implementations"].items():
-        obj.implementations[cls_name] = ImplementationObject(
-            oid=Oid(int(impl_entry["oid"])),
-            class_name=cls_name,
-            conceptual_oid=oid,
-            slice_id=Oid(int(impl_entry["slice_id"])),
-        )
-    return obj
 
 
 # ---------------------------------------------------------------------------
 # file front door
 # ---------------------------------------------------------------------------
 
-def atomic_write_json(path: "Path | str", data: object, indent: int = 1) -> None:
-    """Write JSON durably: temp file, flush, ``fsync``, atomic rename.
-
-    A crash at any point leaves either the previous file or the new one —
-    never a torn half-written document.  The WAL checkpoint protocol
-    (:meth:`repro.storage.wal.WalManager.checkpoint`) follows the same
-    steps, inlined there so its crash injector can interpose.
-    """
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w") as handle:
-        json.dump(data, handle, indent=indent)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def save_database(db: TseDatabase, path: "Path | str") -> None:
     """Persist a database to one JSON file (atomically — see
-    :func:`atomic_write_json`)."""
+    :func:`repro.storage.wal.atomic_write_json`)."""
     atomic_write_json(path, database_to_dict(db))
 
 
