@@ -201,31 +201,27 @@ class UpdateEngine:
         return resolved
 
     def _apply_assignments(
-        self, oid: Oid, class_name: str, assignments: Dict[str, object]
-    ) -> List[Tuple[str, str, bool, object]]:
+        self,
+        oid: Oid,
+        class_name: str,
+        assignments: Dict[str, object],
+        undo: Optional[List[Tuple[Oid, str, str, bool, object]]] = None,
+    ) -> None:
         """Write assignments through ``class_name``'s type.
 
-        Returns an undo log of ``(storage_class, attr, had_value, old)``.
+        With an ``undo`` list, each write first appends ``(oid,
+        storage_class, attr, had_value, old)`` to it, so an assignment that
+        fails part-way leaves the ones before it undoable.
         """
-        undo: List[Tuple[str, str, bool, object]] = []
         for attr, value in assignments.items():
             resolved = self._resolve_assignable(class_name, attr)
             storage = resolved.storage_class
             bare_name = resolved.name  # qualified refs store under the name
-            had = self.pool.has_value(oid, storage, bare_name)
-            old = self.pool.get_value(oid, storage, bare_name) if had else None
-            undo.append((storage, bare_name, had, old))
+            if undo is not None:
+                had = self.pool.has_value(oid, storage, bare_name)
+                old = self.pool.get_value(oid, storage, bare_name) if had else None
+                undo.append((oid, storage, bare_name, had, old))
             self.pool.set_value(oid, storage, bare_name, value)
-        return undo
-
-    def _rollback_assignments(
-        self, oid: Oid, undo: List[Tuple[str, str, bool, object]]
-    ) -> None:
-        for storage, attr, had, old in reversed(undo):
-            if had:
-                self.pool.set_value(oid, storage, attr, old)
-            else:
-                self.pool.remove_value(oid, storage, attr)
 
     def _fill_required(self, oid: Oid, base_targets: Iterable[str]) -> None:
         """Apply defaults / reject for REQUIRED attributes after a create.
@@ -319,11 +315,10 @@ class UpdateEngine:
         for oid in oids:
             if oid not in extent:
                 raise NotAMember(f"{oid} is not a member of {class_name!r}")
-        undo_per_oid: List[Tuple[Oid, list]] = []
+        undo: List[Tuple[Oid, str, str, bool, object]] = []
         try:
             for oid in oids:
-                undo = self._apply_assignments(oid, class_name, dict(assignments))
-                undo_per_oid.append((oid, undo))
+                self._apply_assignments(oid, class_name, assignments, undo)
             if self.value_closure is ValueClosurePolicy.REJECT:
                 new_extent = self.evaluator.extent(class_name)
                 escaped = [oid for oid in oids if oid not in new_extent]
@@ -333,8 +328,11 @@ class UpdateEngine:
                         f"{class_name!r} (value-closure violation)"
                     )
         except Exception:
-            for oid, undo in reversed(undo_per_oid):
-                self._rollback_assignments(oid, undo)
+            for oid, storage, attr, had, old in reversed(undo):
+                if had:
+                    self.pool.set_value(oid, storage, attr, old)
+                else:
+                    self.pool.remove_value(oid, storage, attr)
             raise
         if self.journal is not None and oids:
             self.journal.log_set(class_name, oids, assignments, oid_base)
