@@ -10,8 +10,11 @@ checkpoint.  This bench measures both axes:
   operations, so replay only covers the tail; and
 * **checkpoint size** — the figure-3 schema at 1k/3k/10k objects: the
   checkpoint's bytes on disk, the process CPU one ``db.checkpoint()`` takes
-  and the process CPU recovering from that checkpoint alone (best of
-  ``CHECKPOINT_REPEATS``).
+  and the process CPU recovering from that checkpoint alone.
+
+Every cost is the best of ``REPEATS`` runs in process CPU (a single
+wall-clock sample of a 1600-record replay moved by a third between two
+runs of the same tree).
 
 Writes ``BENCH_recovery.json`` at the repo root and
 ``benchmarks/results/recovery.md`` (the table EXPERIMENTS.md quotes).
@@ -48,10 +51,10 @@ def build_schema() -> TseDatabase:
     return db
 
 
-#: figure-3 populations of the checkpoint-size axis, and the repeats each
-#: cost is the best of
+#: figure-3 populations of the checkpoint-size axis
 CHECKPOINT_POPULATIONS = (1000, 3000, 10000)
-CHECKPOINT_REPEATS = 5
+#: the runs every cost is the best of
+REPEATS = 5
 
 
 def build_population(population: int) -> TseDatabase:
@@ -72,9 +75,9 @@ def build_population(population: int) -> TseDatabase:
 
 
 def best_cpu_ms(fn) -> float:
-    """Best-of-``CHECKPOINT_REPEATS`` process CPU milliseconds of ``fn()``."""
+    """Best-of-``REPEATS`` process CPU milliseconds of ``fn()``."""
     best = float("inf")
-    for _ in range(CHECKPOINT_REPEATS):
+    for _ in range(REPEATS):
         start = time.process_time()
         fn()
         best = min(best, time.process_time() - start)
@@ -99,11 +102,17 @@ def run_workload(db: TseDatabase, ops: int, checkpoint_every: int = 0) -> None:
 
 
 def measured_recovery(directory) -> tuple:
-    """(seconds, records_replayed, log_bytes_before) for one recovery."""
+    """(best recovery CPU ms, records replayed, log bytes) of ``directory``."""
     log = directory / "wal.log"
     log_bytes = log.stat().st_size if log.exists() else 0
-    recovered = TseDatabase.recover(directory, sync=SYNC)
-    return recovered.wal.last_recovery_seconds, recovered.wal.records_replayed, log_bytes
+    replayed = []
+
+    def recover():
+        recovered = TseDatabase.recover(directory, sync=SYNC)
+        replayed.append(recovered.wal.records_replayed)
+        recovered.wal.close()
+
+    return best_cpu_ms(recover), replayed[-1], log_bytes
 
 
 def test_recovery_scaling(tmp_path):
@@ -114,14 +123,11 @@ def test_recovery_scaling(tmp_path):
         db = build_schema()
         db.enable_wal(directory, sync=SYNC)
         run_workload(db, ops)
-        seconds, replayed, log_bytes = measured_recovery(directory)
+        cpu_ms, replayed, log_bytes = measured_recovery(directory)
         assert replayed == ops
-        length_rows.append(
-            (ops, replayed, log_bytes, round(seconds * 1000, 2))
-        )
+        length_rows.append((ops, replayed, log_bytes, cpu_ms))
 
-    # replay work grows with the log: 16x the records should cost clearly
-    # more than 1x (allow generous slack for timer noise)
+    # replay work grows with the log: 16x the records cost more than 1x
     assert length_rows[-1][3] > length_rows[0][3], length_rows
 
     # -- axis 2: checkpoint interval at fixed history length ---------------
@@ -134,12 +140,10 @@ def test_recovery_scaling(tmp_path):
         db = build_schema()
         db.enable_wal(directory, sync=SYNC)
         run_workload(db, TOTAL, checkpoint_every=every)
-        seconds, replayed, log_bytes = measured_recovery(directory)
+        cpu_ms, replayed, log_bytes = measured_recovery(directory)
         expected_tail = TOTAL % every if every else TOTAL
         assert replayed == expected_tail, (every, replayed)
-        interval_rows.append(
-            (every or "never", replayed, log_bytes, round(seconds * 1000, 2))
-        )
+        interval_rows.append((every or "never", replayed, log_bytes, cpu_ms))
 
     # checkpoints bound replay to the tail since the last one
     full_replay_ms = interval_rows[0][3]
@@ -168,20 +172,19 @@ def test_recovery_scaling(tmp_path):
     assert checkpoint_rows[-1][1] > checkpoint_rows[0][1], checkpoint_rows
 
     body = (
-        "Replay cost vs surviving log length (sync=off, initial checkpoint "
-        "only):\n\n"
+        f"Process CPU, best of {REPEATS} runs, sync=off.\n\n"
+        "Replay cost vs surviving log length (initial checkpoint only):\n\n"
         + format_table(
-            ["ops in log", "records replayed", "log bytes", "recovery ms"],
+            ["ops in log", "records replayed", "log bytes", "recovery CPU ms"],
             length_rows,
         )
         + "\n\nSame 1600-op history, checkpointed every k ops:\n\n"
         + format_table(
-            ["checkpoint every", "records replayed", "log bytes", "recovery ms"],
+            ["checkpoint every", "records replayed", "log bytes", "recovery CPU ms"],
             interval_rows,
         )
-        + "\n\nCheckpoint size and cost vs population (figure-3 schema, "
-        f"sync=off, process CPU, best of {CHECKPOINT_REPEATS}; recovery "
-        "replays no log):\n\n"
+        + "\n\nCheckpoint size and cost vs population (figure-3 schema; "
+        "recovery replays no log):\n\n"
         + format_table(
             ["objects", "checkpoint bytes", "checkpoint CPU ms", "recovery CPU ms"],
             checkpoint_rows,
@@ -197,7 +200,7 @@ def test_recovery_scaling(tmp_path):
                     "ops": ops,
                     "records_replayed": replayed,
                     "log_bytes": log_bytes,
-                    "recovery_ms": ms,
+                    "recovery_cpu_ms": ms,
                 }
                 for ops, replayed, log_bytes, ms in length_rows
             ],
@@ -206,11 +209,11 @@ def test_recovery_scaling(tmp_path):
                     "checkpoint_every": every,
                     "records_replayed": replayed,
                     "log_bytes": log_bytes,
-                    "recovery_ms": ms,
+                    "recovery_cpu_ms": ms,
                 }
                 for every, replayed, log_bytes, ms in interval_rows
             ],
-            "full_replay_ms": full_replay_ms,
+            "full_replay_cpu_ms": full_replay_ms,
             "checkpoint_rows": [
                 {
                     "objects": population,

@@ -211,13 +211,17 @@ class UpdateEngine:
 
         With an ``undo`` list, each write first appends ``(oid,
         storage_class, attr, had_value, old)`` to it, so an assignment that
-        fails part-way leaves the ones before it undoable.
+        fails part-way leaves the ones before it undoable; a write that
+        will create the object's slice first appends ``(oid,
+        storage_class, None, False, None)``.
         """
         for attr, value in assignments.items():
             resolved = self._resolve_assignable(class_name, attr)
             storage = resolved.storage_class
             bare_name = resolved.name  # qualified refs store under the name
             if undo is not None:
+                if storage not in self.pool.get(oid).implementations:
+                    undo.append((oid, storage, None, False, None))
                 had = self.pool.has_value(oid, storage, bare_name)
                 old = self.pool.get_value(oid, storage, bare_name) if had else None
                 undo.append((oid, storage, bare_name, had, old))
@@ -287,8 +291,11 @@ class UpdateEngine:
         return obj.oid
 
     def delete(self, oids: Iterable[Oid]) -> UpdateReport:
-        """``<set-expr> delete`` — destroy objects entirely (all classes)."""
-        oids = tuple(oids)
+        """``<set-expr> delete`` — destroy objects entirely (all classes);
+        a missing object rejects the delete before anything changes."""
+        oids = tuple(dict.fromkeys(oids))
+        for oid in oids:
+            self.pool.get(oid)
         for oid in oids:
             self.pool.destroy_object(oid)
         if self.journal is not None and oids:
@@ -329,7 +336,9 @@ class UpdateEngine:
                     )
         except Exception:
             for oid, storage, attr, had, old in reversed(undo):
-                if had:
+                if attr is None:
+                    self.pool.drop_slice(oid, storage)
+                elif had:
                     self.pool.set_value(oid, storage, attr, old)
                 else:
                     self.pool.remove_value(oid, storage, attr)
@@ -380,21 +389,23 @@ class UpdateEngine:
         class_name: str,
         target: Optional[str] = None,
     ) -> UpdateReport:
-        """``<set-expr> remove <class>`` — objects lose the class's type."""
-        oids = tuple(oids)
+        """``<set-expr> remove <class>`` — objects lose the class's type;
+        every object is checked before any membership goes."""
+        oids = tuple(dict.fromkeys(oids))
         targets = self.removal_targets(class_name, target)
         extent = self.evaluator.extent(class_name)
+        plan = []
         for oid in oids:
             if oid not in extent:
                 raise NotAMember(f"{oid} is not a member of {class_name!r}")
-        for oid in oids:
-            obj = self.pool.get(oid)
-            removable = [t for t in targets if t in obj.direct_classes]
+            direct = self.pool.get(oid).direct_classes
+            removable = [t for t in targets if t in direct]
             if not removable:
                 raise NotAMember(
                     f"{oid} has no direct membership among {sorted(targets)}"
                 )
-            remaining = set(obj.direct_classes) - set(removable)
+            plan.append((oid, removable, direct - set(removable)))
+        for oid, removable, remaining in plan:
             for member_class in removable:
                 # the slice stays when the removed class is still an ancestor
                 # of a remaining membership: the object keeps that part of its

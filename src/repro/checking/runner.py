@@ -73,6 +73,7 @@ from repro.checking.commands import (
 from repro.checking.oracle import OracleReject, RefModel, Spec
 from repro.core.database import TseDatabase
 from repro.errors import TseError
+from repro.persistence import state_difference
 from repro.schema.properties import Attribute
 from repro.storage.oid import Oid
 from repro.storage.wal import CrashInjector, SimulatedCrash
@@ -645,21 +646,16 @@ class DifferentialHarness:
         if self.db.wal is None:
             return "skipped"
         recovered = TseDatabase.recover(self.wal_dir, sync=self.sync)
-        # recovery must be deterministic: recovering the same directory
-        # twice yields byte-identical databases (reuses the WAL suite's
-        # equivalence assertion when it is importable, i.e. under pytest)
-        try:
-            from test_wal import assert_equivalent
-        except ImportError:  # pragma: no cover - outside the test tree
-            assert_equivalent = None
-        if assert_equivalent is not None:
-            twin = TseDatabase.recover(self.wal_dir, sync=self.sync)
-            try:
-                assert_equivalent(recovered, twin)
-            except AssertionError as exc:
+        # recovery rebuilds the live state, and deterministically so
+        for other, what in (
+            (self.db, "the live database"),
+            (TseDatabase.recover(self.wal_dir, sync=self.sync), "a second recovery"),
+        ):
+            difference = state_difference(recovered, other)
+            if difference is not None:
                 raise Divergence(
                     "recovery", "recover_clean", self.step,
-                    f"two recoveries of the same log differ: {exc}",
+                    f"recovery differs from {what}: {difference}",
                 )
         self._install_recovered(recovered)
         return "applied"

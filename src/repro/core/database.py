@@ -28,10 +28,10 @@ from repro.core.merging import merge_views
 from repro.objectmodel.indexes import IndexManager
 from repro.objectmodel.slicing import InstancePool
 from repro.obs import Observability
-from repro.schema.classes import Derivation, ROOT_CLASS
+from repro.schema.classes import ROOT_CLASS, Derivation, derivation_to_dict
 from repro.schema.extents import IncrementalExtentEvaluator
 from repro.schema.graph import GlobalSchema
-from repro.schema.properties import Attribute, Method, Property
+from repro.schema.properties import Attribute, Method, Property, property_to_dict
 from repro.storage.store import ObjectStore
 from repro.views.manager import ViewManager
 from repro.views.schema import ViewSchema
@@ -87,6 +87,18 @@ class TseDatabase:
             events=self.obs.events,
             metrics=self.obs.metrics,
         )
+        #: the stateful components, in load order (DESIGN §10): a savepoint
+        #: marks each one and rolls them back newest-first (§11); a body
+        #: (checkpoint, ``save``) holds each one's section, and
+        #: ``repro.persistence.state_difference`` compares them
+        self.state_table = (
+            self.store,
+            self.schema,
+            self.pool,
+            self.views.history,
+            self.indexes,
+            self.tsem.log,
+        )
         #: durability subsystem (:class:`repro.storage.wal.WalManager`);
         #: ``None`` until :meth:`enable_wal` or :meth:`recover` attaches one
         self.wal = None
@@ -131,8 +143,6 @@ class TseDatabase:
             name, properties=tuple(properties), inherits_from=tuple(inherits_from)
         )
         if self.wal is not None:
-            from repro.persistence import property_to_dict
-
             self.wal.record(
                 "define_class",
                 {
@@ -157,8 +167,6 @@ class TseDatabase:
             created=outcome.created,
         )
         if self.wal is not None:
-            from repro.persistence import derivation_to_dict
-
             self.wal.record(
                 "definevc",
                 {"name": name, "derivation": derivation_to_dict(derivation)},
@@ -579,19 +587,19 @@ class TseDatabase:
         work — generic updates *and* schema evolution alike.
 
         Implemented as a savepoint (this is a single-process reproduction;
-        the paper delegated real concurrency control to GemStone): on a
-        raised exception the store, instance pool, global schema, view
-        history, evolution log and indexes are rolled back to the state at
-        entry, and the exception propagates.  The store and the pool do not
-        copy anything on entry: inside the outermost savepoint they journal
-        the inverse of every write into one shared undo journal, entry
-        takes a mark in it, and a rollback undoes the block's writes
-        newest-first.  Savepoints nest; an inner rollback undoes back to
-        its own mark only, and the journal is dropped when the outermost
-        savepoint ends.  The journal is the database's, not the thread's:
-        with the session layer attached, a savepoint holds the writer side
-        of the schema latch for its whole block, so two threads'
-        savepoints never interleave.
+        the paper delegated real concurrency control to GemStone): entry
+        takes a memento of every component of :attr:`state_table`; on a
+        raised exception each is restored, last component first, and the
+        exception propagates.  The store and the pool copy nothing on
+        entry: inside the outermost savepoint they journal the inverse of
+        every write into one shared undo journal, their mementos are marks
+        in it, and a rollback undoes the block's writes newest-first.
+        Savepoints nest; an inner rollback undoes back to its own mark
+        only, and the journal is dropped when the outermost savepoint ends.
+        The journal is the database's, not the thread's: with the session
+        layer attached, a savepoint holds the writer side of the schema
+        latch for its whole block, so two threads' savepoints never
+        interleave.
 
         ::
 
@@ -611,16 +619,20 @@ class TseDatabase:
             sessions = self._sessions
             with sessions.latch.write() if sessions is not None else nullcontext():
                 tracer = self.obs.tracer
-                outermost = self.pool.journal is None
+                outermost = self.store.journal is None
                 try:
-                    checkpoint = self._checkpoint()
+                    mementos = [component.memento() for component in self.state_table]
                     if self.wal is not None:
                         self.wal.begin_savepoint()
                     try:
                         yield self
                     except BaseException:
                         with tracer.span("abort", scope="savepoint"):
-                            self._restore(checkpoint)
+                            for component, memento in reversed(
+                                tuple(zip(self.state_table, mementos))
+                            ):
+                                component.restore(memento)
+                            self.evaluator.invalidate()
                         if self.wal is not None:
                             # abort is a no-op on disk: buffered records are dropped
                             self.wal.abort_savepoint()
@@ -635,7 +647,7 @@ class TseDatabase:
                     self.commits += 1
                 finally:
                     if outermost:
-                        self.pool.end_journal()
+                        self.store.journal = None  # the shared undo journal
 
         return scope()
 
@@ -689,38 +701,6 @@ class TseDatabase:
             for fn, kwargs in calls:
                 results.append(fn(**kwargs))
         return results
-
-    def _checkpoint(self) -> dict:
-        return {
-            # a mark in the undo journal the store and the pool share
-            "pool": self.pool.memento(),
-            "schema": self.schema.memento(),
-            "views": {
-                name: list(self.views.history.versions_of(name))
-                for name in self.views.history.view_names()
-            },
-            "retired_views": self.views.history.retired_map(),
-            "log_length": len(self.tsem.log),
-            "indexes": list(self.indexes.index_names()),
-        }
-
-    def _restore(self, checkpoint: dict) -> None:
-        self.pool.restore(checkpoint["pool"])
-        self.schema.restore(checkpoint["schema"])
-        self.views.history._versions = {
-            name: list(versions)
-            for name, versions in checkpoint["views"].items()
-        }
-        self.views.history.restore_retired(checkpoint.get("retired_views", {}))
-        del self.tsem.log[checkpoint["log_length"]:]
-        # rebuild indexes from restored data (cheap at savepoint scale)
-        for storage_class, attribute in checkpoint["indexes"]:
-            self.indexes.drop_index(storage_class, attribute)
-            self.indexes.create_index(storage_class, attribute)
-        for storage_class, attribute in list(self.indexes.index_names()):
-            if (storage_class, attribute) not in checkpoint["indexes"]:
-                self.indexes.drop_index(storage_class, attribute)
-        self.evaluator.invalidate()
 
     # ------------------------------------------------------------------
     # indexes
@@ -884,8 +864,6 @@ class TseDatabase:
             help="view versions across all histories",
             callback=lambda: self.views.history.total_versions(),
         )
-        # late-bound lambdas, not bound methods: persistence.load_database
-        # swaps ``db.store`` (and may swap other components) after __init__
         metrics.register_group("pages", lambda: self.store.stats.as_dict())
         metrics.register_group("extents", lambda: self.evaluator.stats.as_dict())
         metrics.register_group(

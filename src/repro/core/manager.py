@@ -61,6 +61,26 @@ class EvolutionRecord:
         ]
 
 
+class EvolutionLog(list):
+    """The TSEM's audit trail, one :class:`EvolutionRecord` per applied
+    change.  Process-local (DESIGN §10): a savepoint abort truncates it, a
+    body leaves it out, a loaded or recovered database starts it empty."""
+
+    __slots__ = ()
+
+    def memento(self) -> int:
+        return len(self)
+
+    def restore(self, length: int) -> None:
+        del self[length:]
+
+    def dump_state(self) -> dict:
+        return {}
+
+    def load_state(self, body: dict, methods=None) -> None:
+        self.clear()
+
+
 class TseManager:
     """Orchestrates translator, algebra processor and view manager."""
 
@@ -80,7 +100,7 @@ class TseManager:
         self.tracer = tracer if tracer is not None else Tracer()
         self.events = events if events is not None else EventBus()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.log: List[EvolutionRecord] = []
+        self.log = EvolutionLog()
         #: optional :class:`repro.storage.wal.WalManager`; when set, the
         #: pipeline journals ``schema_begin`` before translating,
         #: ``schema_commit`` (with the replayable operator arguments) after

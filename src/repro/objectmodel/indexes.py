@@ -10,7 +10,9 @@ class that shares the storage definition (a capacity-augmenting refine's
 attribute gets indexed at the refine class).
 
 Maintenance is event-driven: the instance pool publishes value writes and
-object destruction; the manager keeps the buckets exact.
+object destruction; the manager keeps the buckets exact, and backfills them
+anew when a savepoint rollback resets the pool.  Savepoints and bodies carry
+the index definitions only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterable, Optional, Set, Tuple
 
 from repro.errors import ObjectModelError
-from repro.objectmodel.slicing import InstancePool
+from repro.objectmodel.slicing import InstancePool, PoolDelta
 from repro.storage.oid import Oid
 
 
@@ -82,6 +84,7 @@ class IndexManager:
         pool.add_value_listener(self._on_value)
         pool.add_destroy_listener(self._on_destroy)
         pool.add_slice_drop_listener(self._on_membership_drop)
+        pool.add_delta_listener(self._on_delta)
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -115,7 +118,29 @@ class IndexManager:
     def index_names(self) -> Iterable[Tuple[str, str]]:
         return sorted(self._indexes)
 
+    # -- savepoints and the body section ------------------------------------
+
+    def memento(self) -> list:
+        return list(self._indexes)
+
+    def restore(self, keys) -> None:
+        # left empty: the pool's rollback, which follows, backfills them
+        self._indexes = {key: HashIndex(*key) for key in keys}
+
+    def dump_state(self) -> dict:
+        return {"indexes": [list(key) for key in self.index_names()]}
+
+    def load_state(self, body: dict, methods=None) -> None:
+        for storage_class, attribute in body["indexes"]:
+            self.create_index(storage_class, attribute)
+
     # -- event maintenance -----------------------------------------------------
+
+    def _on_delta(self, delta: PoolDelta) -> None:
+        if delta.kind == "reset":  # a savepoint rollback moved the pool
+            for key in self.memento():
+                del self._indexes[key]
+                self.create_index(*key)
 
     def _on_value(self, oid: Oid, storage_class: str, attribute: str, value: object) -> None:
         index = self._indexes.get((storage_class, attribute))

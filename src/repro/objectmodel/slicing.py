@@ -18,16 +18,19 @@ their class, so the page-level cost claims of Table 1 are observable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import attrgetter
 from typing import Container, Dict, FrozenSet, Iterable, ItemsView, Iterator, Optional, Set
 
 from repro.errors import InvalidCast, NotAMember, ObjectNotFound
 from repro.storage.oid import OID_SIZE_BYTES, POINTER_SIZE_BYTES, Oid
-from repro.storage.store import ObjectStore, UndoJournal
+from repro.storage.store import ObjectStore
 
 #: distinguishes "attribute never written" from a stored ``None`` so
 #: :meth:`InstancePool.get_value` costs one page read instead of two
 _MISSING = object()
+
+_OID_VALUE = attrgetter("oid.value")
 
 
 @dataclass(frozen=True, slots=True)
@@ -113,21 +116,11 @@ class InstancePool:
     exist and where each attribute is stored; the pool just keeps the slices.
     """
 
-    #: every instance field is either undone through the undo journal or
-    #: holds no database state (the generation only ever grows; listeners
-    #: and the migration hook are wiring); a tier-1 test checks the two
-    #: lists cover every field
-    JOURNALED_FIELDS = ("_objects", "_members_direct")
-    UNJOURNALED_FIELDS = (
-        "store",
-        "_generation",
-        "_value_listeners",
-        "_destroy_listeners",
-        "_slice_drop_listeners",
-        "_delta_listeners",
-        "migration",
-        "journal",
-    )
+    #: the open savepoint's :class:`~repro.storage.store.UndoJournal` (the
+    #: store's), or ``None`` outside a savepoint; every write to
+    #: ``_objects``, ``_members_direct`` and a conceptual object's fields
+    #: journals its inverse while one is open
+    journal = property(attrgetter("store.journal"))
 
     def __init__(self, store: ObjectStore) -> None:
         self.store = store
@@ -146,11 +139,6 @@ class InstancePool:
         #: when set, every leaf mutator asks it to seal affected pending
         #: epoch extents *before* the pool state changes (lazy migration)
         self.migration = None
-        #: the open savepoint's :class:`~repro.storage.store.UndoJournal`
-        #: (shared with the store), or ``None`` outside a savepoint; every
-        #: write to ``_objects``, ``_members_direct`` and a conceptual
-        #: object's fields journals its inverse while one is open
-        self.journal: Optional[UndoJournal] = None
 
     def add_value_listener(self, callback) -> None:
         """Subscribe to attribute writes (index maintenance hook)."""
@@ -330,15 +318,7 @@ class InstancePool:
                 journal.append((obj.direct_classes.add, class_name))
             self._discard_direct(oid, class_name)
             if not keep_slice:
-                impl = obj.implementations.pop(class_name, None)
-                if impl is not None:
-                    if journal is not None:
-                        journal.append(
-                            (obj.implementations.__setitem__, class_name, impl)
-                        )
-                    self.store.drop_slice(impl.slice_id)
-                    for listener in self._slice_drop_listeners:
-                        listener(oid, class_name)
+                self.drop_slice(oid, class_name)
             if obj.current_class == class_name:
                 obj.current_class = None
                 if journal is not None:
@@ -413,6 +393,20 @@ class InstancePool:
             if self.journal is not None:
                 self.journal.append((obj.implementations.pop, storage_class))
         return impl
+
+    def drop_slice(self, oid: Oid, storage_class: str) -> None:
+        """Drop the object's slice for ``storage_class``, if it has one,
+        keeping its memberships."""
+        obj = self.get(oid)
+        impl = obj.implementations.pop(storage_class, None)
+        if impl is not None:
+            if self.journal is not None:
+                self.journal.append(
+                    (obj.implementations.__setitem__, storage_class, impl)
+                )
+            self.store.drop_slice(impl.slice_id)
+            for listener in self._slice_drop_listeners:
+                listener(oid, storage_class)
 
     def get_value(
         self, oid: Oid, storage_class: str, attr: str, default: object = None
@@ -504,24 +498,12 @@ class InstancePool:
     # -- savepoint marks ------------------------------------------------------
 
     def memento(self) -> int:
-        """Mark the undo journal (savepoint entry); :meth:`restore` with the
-        mark undoes every store and pool write made after it.
-
-        Opens a journal shared with the store when none is attached; the
-        caller ends it with :meth:`end_journal` once the outermost
-        savepoint is over.  The mark costs O(1) whatever the pool's size.
-        """
-        journal = self.journal
-        if journal is None:
-            journal = self.journal = self.store.journal = UndoJournal()
-        mark = len(journal)
-        self.store.journal_oids()
-        return mark
-
-    def end_journal(self) -> None:
-        """Drop the journal: the outermost savepoint committed or aborted,
-        so no mark is left to undo to."""
-        self.journal = self.store.journal = None
+        """Mark the undo journal (savepoint entry), the store's, opening it
+        when none is; :meth:`restore` with the mark undoes every store and
+        pool write made after it.  O(1) whatever the pool's size."""
+        if self.journal is None:
+            self.store.memento()
+        return len(self.journal)
 
     def restore(self, mark: int) -> None:
         """Roll memberships, slice links and slices back to a
@@ -535,12 +517,48 @@ class InstancePool:
         mig = self.migration
         sealed = mig is not None and mig.begin_mutation("reset")
         try:
-            self.store.undo_to(mark)
+            self.store.restore(mark)
             self._dirty()
             self._emit(PoolDelta("reset"))
         finally:
             if sealed:
                 mig.end_mutation()
+
+    # -- body section -------------------------------------------------------------
+
+    def dump_state(self) -> dict:
+        """One row per object, in OID order: ``[oid, direct classes,
+        current class, [[class, impl oid, slice id], ...]]``."""
+        return {
+            "objects": [
+                [
+                    obj.oid.value,
+                    sorted(obj.direct_classes),
+                    obj.current_class,
+                    [
+                        [name, impl.oid.value, impl.slice_id.value]
+                        for name, impl in sorted(obj.implementations.items())
+                    ],
+                ]
+                for obj in sorted(self._objects.values(), key=_OID_VALUE)
+            ]
+        }
+
+    def load_state(self, body: dict, methods=None) -> None:
+        """Fill this empty pool; the store is loaded before it."""
+        slice_ids = self.store.slice_ids()
+        for value, direct, current, implementations in body["objects"]:
+            oid = Oid(value)
+            obj = self._objects[oid] = ConceptualObject(oid)
+            obj.direct_classes = set(direct)
+            obj.current_class = current
+            for name, impl_oid, slice_id in implementations:
+                obj.implementations[name] = ImplementationObject(
+                    Oid(impl_oid), name, oid, slice_ids[slice_id]
+                )
+            for name in direct:
+                self._members_direct.setdefault(name, set()).add(oid)
+        self._dirty()
 
     # -- statistics for Table 1 ---------------------------------------------------
 

@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.errors import DuplicateProperty, InvalidDerivation
-from repro.schema.properties import Property
+from repro.schema.properties import (
+    MethodRegistry,
+    Property,
+    property_from_dict,
+    property_to_dict,
+)
 
 #: The system root class every schema hangs off (section 6.6.1 calls it ROOT,
 #: figure 15 calls it OBJECT; one name suffices).
@@ -210,3 +215,40 @@ def root_class() -> BaseClass:
     """A fresh ROOT class (no properties, no parents)."""
     root = BaseClass(ROOT_CLASS, properties=(), inherits_from=())
     return root
+
+
+def derivation_to_dict(derivation: Derivation) -> dict:
+    return {
+        "op": derivation.op,
+        "sources": list(derivation.sources),
+        "predicate": (
+            derivation.predicate.to_dict() if derivation.predicate is not None else None
+        ),
+        "hidden": list(derivation.hidden),
+        "new_properties": [property_to_dict(p) for p in derivation.new_properties],
+        "shared_properties": [
+            {"from_class": s.from_class, "name": s.name}
+            for s in derivation.shared_properties
+        ],
+    }
+
+
+def derivation_from_dict(
+    data: dict, owner: str, registry: Optional[MethodRegistry]
+) -> Derivation:
+    from repro.algebra.expressions import predicate_from_dict
+
+    predicate = data["predicate"]
+    return Derivation(
+        op=data["op"],
+        sources=tuple(data["sources"]),
+        predicate=predicate_from_dict(predicate) if predicate is not None else None,
+        hidden=tuple(data["hidden"]),
+        new_properties=tuple(
+            property_from_dict(p, owner, registry) for p in data["new_properties"]
+        ),
+        shared_properties=tuple(
+            SharedProperty(s["from_class"], s["name"])
+            for s in data["shared_properties"]
+        ),
+    )

@@ -44,9 +44,18 @@ from repro.schema.classes import (
     Derivation,
     SchemaClass,
     VirtualClass,
+    derivation_from_dict,
+    derivation_to_dict,
     root_class,
 )
-from repro.schema.properties import Attribute, Property, ResolvedProperty
+from repro.schema.properties import (
+    Attribute,
+    MethodRegistry,
+    Property,
+    ResolvedProperty,
+    property_from_dict,
+    property_to_dict,
+)
 from repro.schema import types as typemod
 from repro.schema.types import TypeMap
 
@@ -690,6 +699,61 @@ class GlobalSchema:
         self._supers = {name: set(sups) for name, sups in supers.items()}
         self._subs = {name: set(s) for name, s in subs.items()}
         self._reshaped()
+
+    # -- body section --------------------------------------------------------------
+
+    def dump_state(self) -> dict:
+        """Every class but ROOT, supers first, and the sorted is-a edges."""
+        classes: List[dict] = []
+        for name in self.topological_order():
+            if name == ROOT_CLASS:
+                continue
+            cls = self._classes[name]
+            meta = {
+                k: v for k, v in cls.meta.items() if isinstance(v, (str, int, bool))
+            }
+            entry: dict = {"name": name, "updatable": cls.updatable, "meta": meta}
+            if isinstance(cls, BaseClass):
+                entry["kind"] = "base"
+                entry["inherits_from"] = list(cls.inherits_from)
+                entry["properties"] = [
+                    property_to_dict(p) for p in cls.local_properties.values()
+                ]
+            else:
+                entry["kind"] = "virtual"
+                entry["derivation"] = derivation_to_dict(cls.derivation)
+                entry["propagation_source"] = cls.propagation_source
+            classes.append(entry)
+        edges = sorted((sup, sub) for sup, subs in self._subs.items() for sub in subs)
+        return {"classes": classes, "edges": edges}
+
+    def load_state(self, body: dict, methods: Optional[MethodRegistry] = None) -> None:
+        for entry in body["classes"]:
+            name = entry["name"]
+            if entry["kind"] == "base":
+                cls = BaseClass(
+                    name,
+                    properties=tuple(
+                        property_from_dict(p, name, methods)
+                        for p in entry["properties"]
+                    ),
+                    inherits_from=tuple(entry["inherits_from"]),
+                )
+            else:
+                cls = VirtualClass(
+                    name, derivation_from_dict(entry["derivation"], name, methods)
+                )
+                cls.propagation_source = entry["propagation_source"]
+            cls.updatable = entry["updatable"]
+            cls.meta.update(entry["meta"])
+            self._classes[name] = cls
+            self._supers[name] = set()
+            self._subs[name] = set()
+        for sup, sub in body["edges"]:
+            self._subs[sup].add(sub)
+            self._supers[sub].add(sup)
+        self._dirty()
+        self.validate()
 
     # -- convenience --------------------------------------------------------------
 

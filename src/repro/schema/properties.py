@@ -18,7 +18,7 @@ Two kinds of attribute matter to TSE:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Mapping, Optional, Tuple, Union
 
 from repro.errors import InvalidDerivation
 
@@ -168,3 +168,40 @@ class ResolvedProperty:
             storage_class=self.storage_class,
             promoted=self.promoted,
         )
+
+
+#: rebinds code when a body or WAL record loads: ``"Class.name"`` or
+#: ``"name"`` -> method body or derived attribute's compute callable
+MethodRegistry = Mapping[str, Callable]
+
+
+def property_to_dict(prop: Property) -> dict:
+    if isinstance(prop, Attribute):
+        return {
+            "kind": "attribute",
+            "name": prop.name,
+            "domain": prop.domain,
+            "required": prop.required,
+            "default": prop.default,
+            "stored": prop.stored,
+        }
+    assert isinstance(prop, Method)
+    return {"kind": "method", "name": prop.name, "doc": prop.doc}
+
+
+def property_from_dict(
+    data: dict, owner: str, registry: Optional[MethodRegistry]
+) -> Property:
+    code = None
+    if registry and (data["kind"] == "method" or not data["stored"]):
+        code = registry.get(f"{owner}.{data['name']}") or registry.get(data["name"])
+    if data["kind"] == "attribute":
+        return Attribute(
+            name=data["name"],
+            domain=data["domain"],
+            required=data["required"],
+            default=data["default"],
+            stored=data["stored"],
+            compute=code,
+        )
+    return Method(name=data["name"], body=code, doc=data.get("doc", ""))

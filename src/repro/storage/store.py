@@ -113,12 +113,6 @@ class ObjectStore:
     can observe simulated I/O.
     """
 
-    #: every instance field is either undone through the journal or holds
-    #: no database state (attribute tables only ever intern names); a
-    #: tier-1 test checks the two lists cover every field
-    JOURNALED_FIELDS = ("_oids", "_pages", "_slices", "_by_key")
-    UNJOURNALED_FIELDS = ("_attrs", "_mutex", "journal")
-
     def __init__(
         self,
         slots_per_page: int = DEFAULT_SLOTS_PER_PAGE,
@@ -357,14 +351,20 @@ class ObjectStore:
 
     # -- savepoint journal -------------------------------------------------------
 
-    def journal_oids(self) -> None:
-        """Journal the OID allocator's position (a savepoint mark): undoing
-        past this entry reissues the OIDs allocated after it, like the
-        rolled-back state that used them."""
+    def memento(self) -> int:
+        """Mark the undo journal the store and the instance pool share
+        (savepoint entry), opening it when none is, and journal the OID
+        allocator's position: undoing past the mark reissues the OIDs
+        allocated after it, like the rolled-back state that used them."""
+        journal = self.journal
+        if journal is None:
+            journal = self.journal = UndoJournal()
+        mark = len(journal)
         oids = self._oids
-        self.journal.append((oids.rewind, oids.position()))
+        journal.append((oids.rewind, oids.position()))
+        return mark
 
-    def undo_to(self, mark: int) -> None:
+    def restore(self, mark: int) -> None:
         """Undo every journaled store and pool write made after ``mark``
         (savepoint abort), under the slice-table mutex."""
         with self._mutex:
@@ -416,29 +416,25 @@ class ObjectStore:
             )
         return {"oids": self._oids.snapshot(), "clusters": clusters}
 
-    @classmethod
-    def from_snapshot(
-        cls,
-        state: dict,
-        slots_per_page: int = DEFAULT_SLOTS_PER_PAGE,
-        cache_pages: int = DEFAULT_CACHE_PAGES,
-    ) -> "ObjectStore":
-        """Rebuild a store from :meth:`snapshot` output."""
-        store = cls(slots_per_page=slots_per_page, cache_pages=cache_pages)
-        store._oids = OidAllocator.from_snapshot(state["oids"])
+    def dump_state(self) -> dict:
+        return {"store": self.snapshot()}
+
+    def load_state(self, body: dict, methods=None) -> None:
+        """Fill this empty store."""
+        state = body["store"]
+        self._oids = OidAllocator.from_snapshot(state["oids"])
         for cluster in state["clusters"]:
             key = cluster["key"]
-            table = store._table(key)
+            table = self._table(key)
             for name in cluster["names"]:
                 table.intern(name)
-            bucket = store._by_key[key] = []
+            bucket = self._by_key[key] = []
             for value, payload in cluster["rows"]:
                 slice_id = Oid(value)
                 payload = list(map(_decode_slot, payload))
-                page_id, slot = store._pages.place(key, payload)
-                store._slices[slice_id] = SliceRecord(slice_id, key, page_id, slot)
+                page_id, slot = self._pages.place(key, payload)
+                self._slices[slice_id] = SliceRecord(slice_id, key, page_id, slot)
                 bucket.append(slice_id)
-        return store
 
 
 _OID_VALUE = attrgetter("value")

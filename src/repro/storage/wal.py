@@ -772,6 +772,7 @@ def recover_database(
         _apply_record(db, record, methods)
         replayed += 1
         ops_committed += 1
+    db.tsem.log.clear()  # process-local (DESIGN §10); replay refilled it
 
     manager = WalManager(db, directory, sync=sync)
     manager.lsn = last_lsn
@@ -835,7 +836,7 @@ def _apply_record(db, record: WalRecord, methods) -> None:
                 target=payload.get("target"),
             )
         elif kind == "define_class":
-            from repro.persistence import property_from_dict
+            from repro.schema.properties import property_from_dict
 
             db.define_class(
                 payload["name"],
@@ -846,7 +847,7 @@ def _apply_record(db, record: WalRecord, methods) -> None:
                 inherits_from=tuple(payload["inherits_from"]),
             )
         elif kind == "definevc":
-            from repro.persistence import derivation_from_dict
+            from repro.schema.classes import derivation_from_dict
 
             db.define_virtual_class(
                 payload["name"],
@@ -904,7 +905,7 @@ def _encode_arg(value):
     from repro.schema.properties import Property
 
     if isinstance(value, Property):
-        from repro.persistence import property_to_dict
+        from repro.schema.properties import property_to_dict
 
         return {"__property__": property_to_dict(value)}
     if isinstance(value, Oid):
@@ -914,7 +915,7 @@ def _encode_arg(value):
 
 def _decode_arg(value, payload: dict, methods):
     if isinstance(value, dict) and set(value) == {"__property__"}:
-        from repro.persistence import property_from_dict
+        from repro.schema.properties import property_from_dict
 
         owner = payload["args"].get("to") or payload.get("view", "")
         if isinstance(owner, dict):  # pragma: no cover - defensive

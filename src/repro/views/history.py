@@ -150,18 +150,63 @@ class ViewSchemaHistory:
                 "writes must go through a live version"
             )
 
-    def retired_map(self) -> Dict[str, List[int]]:
-        """JSON-shaped retirement state (for persistence and checkpoints)."""
+    # -- savepoints and the body section ------------------------------------------
+
+    def memento(self) -> tuple:
+        # view schemas are immutable: copying the containers suffices
+        return (
+            {name: list(chain) for name, chain in self._versions.items()},
+            {name: set(versions) for name, versions in self._retired.items()},
+        )
+
+    def restore(self, memento: tuple) -> None:
+        versions, retired = memento
+        self._versions = {name: list(chain) for name, chain in versions.items()}
+        self._retired = {name: set(found) for name, found in retired.items()}
+
+    def dump_state(self) -> dict:
         return {
-            name: sorted(versions)
-            for name, versions in self._retired.items()
-            if versions
+            "views": [
+                {
+                    "name": version.name,
+                    "version": version.version,
+                    "selected": sorted(version.selected),
+                    "renames": dict(version.renames),
+                    "edges": [list(edge) for edge in version.edges],
+                    "property_renames": {
+                        cls: dict(per_cls)
+                        for cls, per_cls in version.property_renames.items()
+                    },
+                    "provenance": version.provenance,
+                }
+                for name in self.view_names()
+                for version in self._versions[name]
+            ],
+            "retired_views": {
+                name: sorted(versions)
+                for name, versions in self._retired.items()
+                if versions
+            },
         }
 
-    def restore_retired(self, retired: Dict[str, List[int]]) -> None:
-        """Replace the retirement state wholesale (checkpoint restore)."""
+    def load_state(self, body: dict, methods=None) -> None:
+        # the body lists each chain in version order
+        for entry in body["views"]:
+            self._versions.setdefault(entry["name"], []).append(
+                ViewSchema(
+                    name=entry["name"],
+                    version=entry["version"],
+                    selected=frozenset(entry["selected"]),
+                    renames=entry["renames"],
+                    edges=tuple(tuple(edge) for edge in entry["edges"]),
+                    property_renames=entry["property_renames"],
+                    provenance=entry["provenance"],
+                )
+            )
         self._retired = {
-            name: set(versions) for name, versions in retired.items() if versions
+            name: set(versions)
+            for name, versions in body["retired_views"].items()
+            if versions
         }
 
     def __contains__(self, name: str) -> bool:

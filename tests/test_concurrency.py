@@ -19,10 +19,10 @@ from repro.concurrency.latch import SchemaLatch
 from repro.core.database import TseDatabase
 from repro.errors import TseError
 from repro.obs.metrics import MetricsRegistry
+from repro.persistence import state_difference
 from repro.schema.properties import Attribute
 from repro.storage.oid import OidAllocator
 from repro.storage.wal import WriteAheadLog
-from tests.test_wal import assert_equivalent
 
 
 def run_threads(workers):
@@ -415,7 +415,7 @@ def run_stress(n_readers: int, iterations: int, seed: int = 7) -> None:
     twin_view = twin.view("campus")
     for op in ops:
         apply_schema_op(twin_view, op)
-    assert_equivalent(db, twin)
+    assert state_difference(db, twin) is None
 
     # metrics internal consistency after the multithreaded run
     stats = db.stats()

@@ -35,12 +35,12 @@ from repro.algebra.expressions import Compare
 from repro.core.database import TseDatabase
 from repro.core.manager import TseManager
 from repro.errors import EvolutionError
+from repro.persistence import state_difference
 from repro.schema.classes import Derivation
 from repro.schema.extents import ExtentEvaluator
 from repro.schema.properties import Attribute
 from repro.storage.wal import LOG_NAME, CrashInjector, SimulatedCrash, WriteAheadLog
 
-from tests.test_wal import assert_equivalent
 
 
 def build_campus(backfill: bool = False) -> TseDatabase:
@@ -492,7 +492,7 @@ class TestDurability:
         db.wal.close()
         recovered = TseDatabase.recover(tmp_path / "wal")
         twin = TseDatabase.recover(tmp_path / "wal")
-        assert_equivalent(recovered, twin)
+        assert state_difference(recovered, twin) is None
         assert recovered.extent("Person") == db.extent("Person")
 
     def test_crash_mid_migration_step_append_recovers(self, tmp_path):
@@ -511,7 +511,7 @@ class TestDurability:
         twin_sessions.migration.drain()  # the backfill the victim lost
         twin_db.wal.close()
         twin = TseDatabase.recover(tmp_path / "twin")
-        assert_equivalent(recovered, twin)
+        assert state_difference(recovered, twin) is None
         # and the recovered database migrates cleanly from here
         r_sessions = recovered.sessions()
         with r_sessions.writer() as w:

@@ -180,6 +180,7 @@ class TestStorageRoundTrip:
 
         store = ObjectStore()
         ids = [store.create_slice(f"C{i % 3}", payload) for i, payload in enumerate(payloads)]
-        rebuilt = ObjectStore.from_snapshot(store.snapshot())
+        rebuilt = ObjectStore()
+        rebuilt.load_state(store.dump_state())
         for slice_id, payload in zip(ids, payloads):
             assert rebuilt.read_slice(slice_id) == payload

@@ -16,6 +16,7 @@ import pytest
 
 from repro.cli import run_shell
 from repro.core.database import TseDatabase
+from repro.persistence import state_difference
 from repro.server import (
     ERROR_CODES,
     PROTOCOL_VERSION,
@@ -29,7 +30,6 @@ from repro.server import (
 from repro.server.protocol import read_frame_sync, write_frame_sync
 from repro.workloads.university import build_figure3_database, populate_students
 
-from tests.test_wal import assert_equivalent
 
 
 # ---------------------------------------------------------------------------
@@ -487,7 +487,7 @@ class TestConcurrentEvolution:
         for op, args in ops:
             twin.schema_change("VS1", op, args)
         twin.apply_view_updates("VS1", creates)
-        assert_equivalent(db, twin)
+        assert state_difference(db, twin) is None
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,9 @@ class TestScans:
 def _json_roundtrip(store: ObjectStore) -> ObjectStore:
     """Rebuild ``store`` from its snapshot after a trip through JSON text,
     as persistence and WAL checkpoints do."""
-    return ObjectStore.from_snapshot(json.loads(json.dumps(store.snapshot())))
+    loaded = ObjectStore()
+    loaded.load_state(json.loads(json.dumps(store.dump_state())))
+    return loaded
 
 
 class TestSnapshots:
@@ -115,7 +117,8 @@ class TestSnapshots:
         store.reset_stats()
         snapshot = store.snapshot()
         assert (store.stats.page_reads, store.stats.cache_hits) == (4, 0)
-        loaded = ObjectStore.from_snapshot(snapshot, slots_per_page=16, cache_pages=2)
+        loaded = ObjectStore(slots_per_page=16, cache_pages=2)
+        loaded.load_state({"store": snapshot})
         assert loaded.stats.page_writes == 4
         assert loaded.cluster_sizes() == {"Hot": 64}
 

@@ -119,7 +119,7 @@ class TestRetirementLifecycle:
     def test_retirement_survives_persistence_roundtrip(self, retired_world):
         db, _ = retired_world
         twin = database_from_dict(database_to_dict(db))
-        assert twin.views.history.retired_map() == {"V": [1]}
+        assert twin.views.history.dump_state()["retired_views"] == {"V": [1]}
 
 
 # ---------------------------------------------------------------------------
